@@ -12,7 +12,9 @@ use crate::config::AnvilConfig;
 use crate::epoch::{QuietCheckpoint, QuietShadow};
 use crate::error::{ConfigError, RuntimeError};
 use crate::guard::{GuardMode, GuardedCell, GuardedValue, StateCorruption, StateSite};
-use crate::locality::{analyze_with_ledger, LocalityReport, RowSample, SuspicionLedger};
+use crate::locality::{
+    analyze_window, LocalityReport, LocalityScratch, RowSample, SuspicionLedger,
+};
 use crate::transition;
 use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramLocation, RowId};
 use anvil_pmu::{DataSource, EventKind, Pmu, SampleFilter, SampleRecord};
@@ -224,6 +226,9 @@ pub struct AnvilDetector {
     /// reuses one allocation instead of regrowing a fresh `Vec`. Not part
     /// of the detector's logical state (never checkpointed).
     records_scratch: Vec<SampleRecord>,
+    /// Reusable stage-2 analysis buffers (translated samples, row groups,
+    /// pids), on the same terms as `records_scratch`.
+    locality: LocalityScratch,
 }
 
 /// Records a corruption finding: counts it in the stats and queues it for
@@ -327,6 +332,7 @@ impl AnvilDetector {
             armed_filter: SampleFilter::LoadsAndStores,
             config_fingerprint: config_hash(&config),
             records_scratch: Vec::new(),
+            locality: LocalityScratch::default(),
         };
         det.deadline = now + det.next_stage1_window();
         det
@@ -513,37 +519,37 @@ impl AnvilDetector {
         // hammering — and carries only `hit_weight` of a real miss.
         let h = self.config.hardening;
         let mut unresolved = 0u64;
-        let samples: Vec<RowSample> = records
-            .iter()
-            .filter(|r| r.source == DataSource::Dram)
-            .filter_map(|r| {
-                let Some(paddr) = translate(r.pid, r.vaddr) else {
-                    unresolved += 1;
-                    return None;
-                };
-                let weight = transition::sample_weight(&h, r.latency);
-                Some(RowSample {
-                    row: mapping.location_of(paddr).row_id(),
-                    paddr,
-                    pid: r.pid,
-                    weight,
-                })
-            })
-            .collect();
+        let samples = self.locality.clear_samples();
+        samples.extend(
+            records
+                .iter()
+                .filter(|r| r.source == DataSource::Dram)
+                .filter_map(|r| {
+                    let Some(paddr) = translate(r.pid, r.vaddr) else {
+                        unresolved += 1;
+                        return None;
+                    };
+                    let weight = transition::sample_weight(&h, r.latency);
+                    Some(RowSample {
+                        row: mapping.location_of(paddr).row_id(),
+                        paddr,
+                        pid: r.pid,
+                        weight,
+                    })
+                }),
+        );
+        let usable = samples.len() as u64;
         records.clear();
         self.records_scratch = records;
-        self.stats.samples_analyzed = self
-            .stats
-            .samples_analyzed
-            .saturating_add(samples.len() as u64);
+        self.stats.samples_analyzed = self.stats.samples_analyzed.saturating_add(usable);
         self.stats.samples_lost = self.stats.samples_lost.saturating_add(lost);
         self.stats.samples_unresolved = self.stats.samples_unresolved.saturating_add(unresolved);
 
         let config = self.config;
         let ledger = h.enabled.then_some(&mut self.ledger);
-        let report = analyze_with_ledger(
+        let report = analyze_window(
             &config,
-            &samples,
+            &mut self.locality,
             misses,
             self.ts,
             self.refresh_period,
@@ -596,7 +602,6 @@ impl AnvilDetector {
         // stage 1 saw hammer-capable miss traffic, so a verdict built on
         // mostly-lost evidence (or delivered far too late) cannot clear
         // it. Fall back to blanket bank refresh rather than skip.
-        let usable = samples.len() as u64;
         let evidence = usable + lost + unresolved;
         let survival = if evidence == 0 {
             1.0
@@ -609,6 +614,7 @@ impl AnvilDetector {
         if self.config.degraded.enabled && compromised {
             self.restart_stage1(now, pmu);
             self.stats.degraded_windows = self.stats.degraded_windows.saturating_add(1);
+            let samples = self.locality.samples();
             let banks = if samples.is_empty() {
                 // Nothing survived: every bank is suspect.
                 (0..mapping.geometry().total_banks()).map(BankId).collect()
@@ -955,9 +961,8 @@ impl AnvilDetector {
     /// tests; the steady state uses
     /// [`scrub_state_slice`](Self::scrub_state_slice)).
     pub fn scrub_state_all(&mut self) {
-        for slice in 0..self.state_cell_count().max(1) as u64 {
-            self.scrub_state_slice(slice, self.state_cell_count().max(1) as u64);
-        }
+        // Slice 0 of 1 is every cell, visited once in index order.
+        self.scrub_state_slice(0, 1);
     }
 
     /// Drains the corruption reports accumulated since the last drain.
@@ -1061,6 +1066,7 @@ impl AnvilDetector {
             armed_filter: ckpt.armed_filter,
             config_fingerprint: expected,
             records_scratch: Vec::new(),
+            locality: LocalityScratch::default(),
         };
         if det.deadline <= now {
             // The downtime gap swallowed the in-flight window.
@@ -1670,6 +1676,54 @@ mod tests {
         bad.llc_miss_threshold = 0;
         assert!(det.reconfigure(bad, &CLOCK, end, &mut pmu).is_err());
         assert_eq!(det.config().llc_miss_threshold, 15_000);
+    }
+
+    #[test]
+    fn full_scrub_matches_one_slice_per_cell() {
+        use crate::locality::LedgerRow;
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
+        let mut ckpt = det.checkpoint(&pmu);
+        ckpt.ledger = (0..6)
+            .map(|i| LedgerRow {
+                row: RowId::new(BankId(i % 3), 100 + i),
+                score: 1500.0 * f64::from(i + 1),
+                windows: u64::from(i + 2),
+                pids: vec![7, i],
+            })
+            .collect();
+        let corrupted = || {
+            let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+            let mut det =
+                AnvilDetector::restore(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu, &ckpt)
+                    .unwrap();
+            // Repairable and unrepairable damage in scalar and ledger
+            // cells, word and seal bits alike.
+            for (cell, mask, bit) in [
+                (0, 0b001, 3),
+                (2, 0b111, 70),
+                (3, 0b010, 64),
+                (4, 0b100, 40),
+                (7, 0b111, 1),
+                (9, 0b011, 12),
+                (15, 0b001, 127),
+            ] {
+                assert!(det.corrupt_state_cell(cell, mask, bit).is_some());
+            }
+            det
+        };
+        let mut full = corrupted();
+        full.scrub_state_all();
+        let mut sliced = corrupted();
+        let cells = sliced.state_cell_count() as u64;
+        for slice in 0..cells {
+            sliced.scrub_state_slice(slice, cells);
+        }
+        let reports = full.take_state_corruptions();
+        assert_eq!(reports.len(), 7);
+        assert_eq!(reports, sliced.take_state_corruptions());
+        assert_eq!(full.stats(), sliced.stats());
+        assert_eq!(full.checkpoint(&pmu), sliced.checkpoint(&pmu));
     }
 
     #[test]

@@ -176,25 +176,53 @@ impl<T: GuardedValue> GuardedCell<T> {
         }
     }
 
+    /// Whether all three replicas are bit-identical, word and seal — the
+    /// state every store and scrub leaves behind.
+    fn identical(&self) -> bool {
+        let [a, b, c] = &self.replicas;
+        a == b && b == c
+    }
+
+    /// The words of the replicas whose seals verify, in replica order,
+    /// in a fixed buffer: `(words, count)`.
+    fn verified(&self) -> ([u64; REPLICAS], usize) {
+        let mut words = [0u64; REPLICAS];
+        let mut n = 0;
+        for r in &self.replicas {
+            if r.valid() {
+                words[n] = r.word;
+                n += 1;
+            }
+        }
+        (words, n)
+    }
+
     /// The consensus word without mutating anything: the majority word
     /// among replicas whose checksums verify, falling back to a majority
     /// of raw words, then to replica 0. A single flipped replica never
     /// changes the result.
+    ///
+    /// Identical replicas short-circuit: every branch below returns their
+    /// shared word whether or not its seal verifies, so no seal is
+    /// checked.
     fn consensus(&self) -> u64 {
-        let valid: Vec<u64> = self
-            .replicas
-            .iter()
-            .filter(|r| r.valid())
-            .map(|r| r.word)
-            .collect();
-        if let Some(word) = majority(&valid) {
+        if self.identical() {
+            return self.replicas[0].word;
+        }
+        let (valid, n) = self.verified();
+        Self::consensus_of(&valid[..n], &self.replicas)
+    }
+
+    /// [`consensus`](Self::consensus) given the already-verified words.
+    fn consensus_of(valid: &[u64], replicas: &[Replica; REPLICAS]) -> u64 {
+        if let Some(word) = majority(valid) {
             return word;
         }
         if let Some(&word) = valid.first() {
             return word;
         }
-        let raw: Vec<u64> = self.replicas.iter().map(|r| r.word).collect();
-        majority(&raw).unwrap_or(self.replicas[0].word)
+        let raw = replicas.map(|r| r.word);
+        majority(&raw).unwrap_or(replicas[0].word)
     }
 
     /// Majority-decoded read (guarded mode). Never mutates: repair is the
@@ -204,7 +232,9 @@ impl<T: GuardedValue> GuardedCell<T> {
     }
 
     /// Replica-0 blind read (unguarded baseline): whatever bits are in
-    /// the first copy, checksum ignored.
+    /// the first copy, checksum ignored. Also the exact read of a cell
+    /// that was just stored or scrubbed, since both leave every replica
+    /// identical.
     pub fn raw(&self) -> T {
         T::decode(self.replicas[0].word)
     }
@@ -215,13 +245,11 @@ impl<T: GuardedValue> GuardedCell<T> {
         self.replicas = [r; REPLICAS];
     }
 
-    /// Whether every replica verifies and all words agree.
+    /// Whether every replica verifies and all words agree. Identical
+    /// replicas need one seal check; any other state is unclean, since
+    /// two replicas with one word and different seals cannot both verify.
     pub fn clean(&self) -> bool {
-        self.replicas.iter().all(Replica::valid)
-            && self
-                .replicas
-                .iter()
-                .all(|r| r.word == self.replicas[0].word)
+        self.identical() && self.replicas[0].valid()
     }
 
     /// Verifies all replicas, repairs what a checksummed majority can
@@ -236,14 +264,10 @@ impl<T: GuardedValue> GuardedCell<T> {
         if self.clean() {
             return None;
         }
-        let valid: Vec<u64> = self
-            .replicas
-            .iter()
-            .filter(|r| r.valid())
-            .map(|r| r.word)
-            .collect();
-        let repaired = majority(&valid).is_some() || valid.len() == 1;
-        let word = self.consensus();
+        let (valid, n) = self.verified();
+        let valid = &valid[..n];
+        let repaired = majority(valid).is_some() || n == 1;
+        let word = Self::consensus_of(valid, &self.replicas);
         self.replicas = [Replica::sealed(word); REPLICAS];
         Some(StateCorruption { site, repaired })
     }
@@ -366,5 +390,99 @@ mod tests {
         assert!(c.clean());
         assert_eq!(c.peek(), 2);
         assert_eq!(c.raw(), 2);
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The allocation-free reads checked against the original allocating
+    //! implementation, kept here only as a reference.
+    use super::*;
+    use proptest::prelude::*;
+
+    fn ref_consensus(replicas: &[Replica; REPLICAS]) -> u64 {
+        let valid: Vec<u64> = replicas
+            .iter()
+            .filter(|r| r.valid())
+            .map(|r| r.word)
+            .collect();
+        if let Some(word) = majority(&valid) {
+            return word;
+        }
+        if let Some(&word) = valid.first() {
+            return word;
+        }
+        let raw: Vec<u64> = replicas.iter().map(|r| r.word).collect();
+        majority(&raw).unwrap_or(replicas[0].word)
+    }
+
+    fn ref_clean(replicas: &[Replica; REPLICAS]) -> bool {
+        replicas.iter().all(Replica::valid) && replicas.iter().all(|r| r.word == replicas[0].word)
+    }
+
+    fn ref_scrub(replicas: &mut [Replica; REPLICAS], site: StateSite) -> Option<StateCorruption> {
+        if ref_clean(replicas) {
+            return None;
+        }
+        let valid: Vec<u64> = replicas
+            .iter()
+            .filter(|r| r.valid())
+            .map(|r| r.word)
+            .collect();
+        let repaired = majority(&valid).is_some() || valid.len() == 1;
+        let word = ref_consensus(replicas);
+        *replicas = [Replica::sealed(word); REPLICAS];
+        Some(StateCorruption { site, repaired })
+    }
+
+    /// Applies `ops` to a cell holding `init`, comparing every read and
+    /// scrub with the reference after each step. Op kinds: 0–1 flip bit
+    /// `bit` in the `mask` replicas (word or seal); 2 additionally scrubs
+    /// and carries on from the scrubbed state; 3 forges the `mask`
+    /// replicas as validly sealed copies of a different word, the only
+    /// way to reach two verified replicas that disagree.
+    fn check<T: GuardedValue>(init: T, ops: &[(u8, u8, u8)]) {
+        let mut cell = GuardedCell::new(init);
+        for &(kind, mask, bit) in ops {
+            match kind {
+                3 => {
+                    for (i, r) in cell.replicas.iter_mut().enumerate() {
+                        if mask & (1 << i) != 0 {
+                            *r = Replica::sealed(r.word ^ (1u64 << (bit % 64)));
+                        }
+                    }
+                }
+                _ => cell.corrupt(mask, bit),
+            }
+            let want = ref_consensus(&cell.replicas);
+            assert_eq!(cell.peek().encode(), T::decode(want).encode(), "{ops:?}");
+            assert_eq!(
+                cell.raw().encode(),
+                T::decode(cell.replicas[0].word).encode()
+            );
+            assert_eq!(cell.clean(), ref_clean(&cell.replicas), "{ops:?}");
+            let mut reference = cell.replicas;
+            let want = ref_scrub(&mut reference, StateSite::Carry);
+            let mut scrubbed = cell.clone();
+            assert_eq!(scrubbed.scrub(StateSite::Carry), want, "{ops:?}");
+            assert_eq!(scrubbed.replicas, reference, "{ops:?}");
+            if kind == 2 {
+                cell = scrubbed;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn reads_and_scrubs_match_the_allocating_reference(
+            ops in prop::collection::vec((0u8..4, 0u8..8, 0u8..128), 0..12),
+            seed in any::<u64>(),
+        ) {
+            check(seed, &ops);
+            check(seed as u32, &ops);
+            check(f64::from_bits(seed), &ops);
+            check(0.5f64, &ops);
+        }
     }
 }

@@ -13,7 +13,9 @@ use crate::config::AnvilConfig;
 use crate::guard::{GuardedCell, GuardedValue, StateCorruption, StateSite};
 use anvil_dram::{Cycle, RowId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Weight (in millis) of a sample carrying full activation evidence.
 pub const FULL_WEIGHT: u32 = 1000;
@@ -100,7 +102,8 @@ impl LocalityReport {
 /// evidence for millions of windows.
 #[derive(Debug, Clone)]
 pub struct SuspicionLedger {
-    entries: BTreeMap<RowId, LedgerEntry>,
+    /// Entries sorted by row, each row at most once.
+    entries: Vec<(RowId, LedgerEntry)>,
     /// Whether entry cells are read by checksummed majority (`true`, the
     /// default) or blind replica-0 trust (the `selfdefense` baseline).
     /// Runtime policy: never serialized, ignored by equality.
@@ -114,7 +117,7 @@ pub struct SuspicionLedger {
 impl Default for SuspicionLedger {
     fn default() -> Self {
         SuspicionLedger {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             guarded: true,
             pending: Vec::new(),
         }
@@ -194,64 +197,101 @@ impl SuspicionLedger {
     /// The accumulated score for `row` (zero when absent).
     pub fn score(&self, row: RowId) -> f64 {
         self.entries
-            .get(&row)
-            .map_or(0.0, |e| read_cell(self.guarded, &e.score))
+            .binary_search_by_key(&row, |&(r, _)| r)
+            .map_or(0.0, |i| read_cell(self.guarded, &self.entries[i].1.score))
     }
 
     /// Decays every entry, folds in one window's per-row evidence, and
-    /// prunes entries that have decayed to noise. Guarded: every cell is
-    /// scrubbed as absorption touches it, so a corrupted score is
-    /// reported (and repaired or escalated) *before* the decayed value is
-    /// recomputed from it — never silently absorbed by the rewrite.
-    fn absorb(&mut self, decay: f64, evidence: &BTreeMap<RowId, (f64, Vec<u32>)>) {
+    /// prunes entries that have decayed to noise, in one row-ordered walk
+    /// that merges the entries with the row-sorted `fresh` groups.
+    /// `convict` sees every fresh row that survives the prune, with its
+    /// updated score, window count and pids.
+    ///
+    /// Guarded: every cell is scrubbed as absorption touches it, so a
+    /// corrupted score is reported (and repaired or escalated) *before*
+    /// the decayed value is recomputed from it — never silently absorbed
+    /// by the rewrite. A scrubbed cell is resealed, so its value is read
+    /// straight back from replica 0. Reports come out decay-only entries
+    /// first, then fresh rows, each in row order.
+    fn absorb(
+        &mut self,
+        decay: f64,
+        fresh: &[RowGroup],
+        pid_pool: &[u32],
+        mut convict: impl FnMut(&RowGroup, f64, u64, &[u32]),
+    ) {
         let guarded = self.guarded;
-        let pending = &mut self.pending;
-        let mut touch = |row: RowId, e: &mut LedgerEntry, rate: f64, bump: bool| {
+        let mut fresh_reports = Vec::new();
+        let capacity = self.entries.len() + fresh.len();
+        let mut old_iter = std::mem::replace(&mut self.entries, Vec::with_capacity(capacity))
+            .into_iter()
+            .peekable();
+        let mut fresh_iter = fresh.iter().peekable();
+        loop {
+            let old_row = old_iter.peek().map(|(row, _)| *row);
+            let fresh_row = fresh_iter.peek().map(|g| g.row);
+            let order = match (old_row, fresh_row) {
+                (None, None) => break,
+                (Some(o), Some(f)) => o.cmp(&f),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+            };
+            let (row, mut e) = match order {
+                Ordering::Less | Ordering::Equal => old_iter.next().expect("peeked"),
+                Ordering::Greater => (
+                    fresh_row.expect("peeked"),
+                    LedgerEntry {
+                        score: GuardedCell::new(0.0),
+                        windows: GuardedCell::new(0),
+                        pids: Vec::new(),
+                    },
+                ),
+            };
+            let group = if order == Ordering::Less {
+                None
+            } else {
+                fresh_iter.next()
+            };
             if guarded {
+                let reports = if group.is_some() {
+                    &mut fresh_reports
+                } else {
+                    &mut self.pending
+                };
                 if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
-                    pending.push(c);
+                    reports.push(c);
                 }
                 if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(row))) {
-                    pending.push(c);
+                    reports.push(c);
                 }
             }
-            let score = read_cell(guarded, &e.score);
-            e.score
-                .store(crate::transition::ledger_step(decay, score, rate));
-            if bump {
-                let windows = read_cell(guarded, &e.windows);
-                e.windows.store(windows.saturating_add(1));
+            let rate = group.map_or(0.0, |g| g.rate);
+            let score = crate::transition::ledger_step(decay, e.score.raw(), rate);
+            e.score.store(score);
+            if score < PRUNE_BELOW || score.is_nan() {
+                continue;
             }
-        };
-        for (&row, e) in &mut self.entries {
-            if !evidence.contains_key(&row) {
-                touch(row, e, 0.0, false);
-            }
-        }
-        for (&row, (rate, pids)) in evidence {
-            let e = self.entries.entry(row).or_insert_with(|| LedgerEntry {
-                score: GuardedCell::new(0.0),
-                windows: GuardedCell::new(0),
-                pids: Vec::new(),
-            });
-            touch(row, e, *rate, true);
-            for &pid in pids {
-                if !e.pids.contains(&pid) {
-                    e.pids.push(pid);
+            if let Some(g) = group {
+                let windows = e.windows.raw().saturating_add(1);
+                e.windows.store(windows);
+                for &pid in &pid_pool[g.pids.clone()] {
+                    if !e.pids.contains(&pid) {
+                        e.pids.push(pid);
+                    }
                 }
+                convict(g, score, windows, &e.pids);
             }
+            self.entries.push((row, e));
         }
-        let guarded = self.guarded;
-        self.entries
-            .retain(|_, e| read_cell(guarded, &e.score) >= PRUNE_BELOW);
+        self.pending.append(&mut fresh_reports);
     }
 
     /// Snapshots the ledger as serializable rows (checkpointing).
     pub fn to_rows(&self) -> Vec<LedgerRow> {
         self.entries
             .iter()
-            .map(|(&row, e)| LedgerRow {
-                row,
+            .map(|(row, e)| LedgerRow {
+                row: *row,
                 score: read_cell(self.guarded, &e.score),
                 windows: read_cell(self.guarded, &e.windows),
                 pids: e.pids.clone(),
@@ -260,14 +300,16 @@ impl SuspicionLedger {
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of
-    /// [`to_rows`](SuspicionLedger::to_rows)).
+    /// [`to_rows`](SuspicionLedger::to_rows)). A row listed twice keeps
+    /// its last listing.
     pub fn from_rows(rows: &[LedgerRow]) -> Self {
+        let by_row: BTreeMap<RowId, &LedgerRow> = rows.iter().map(|r| (r.row, r)).collect();
         SuspicionLedger {
-            entries: rows
-                .iter()
-                .map(|r| {
+            entries: by_row
+                .into_iter()
+                .map(|(row, r)| {
                     (
-                        r.row,
+                        row,
                         LedgerEntry {
                             score: GuardedCell::new(r.score),
                             windows: GuardedCell::new(r.windows),
@@ -298,13 +340,13 @@ impl SuspicionLedger {
     /// (entry order × {score, windows}). Returns the [`StateSite`] hit,
     /// or `None` when the index is out of range.
     pub fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
-        let (&row, entry) = self.entries.iter_mut().nth(index / 2)?;
+        let (row, entry) = self.entries.get_mut(index / 2)?;
         Some(if index.is_multiple_of(2) {
             entry.score.corrupt(replica_mask, bit);
-            StateSite::LedgerScore(site_key(row))
+            StateSite::LedgerScore(site_key(*row))
         } else {
             entry.windows.corrupt(replica_mask, bit);
-            StateSite::LedgerWindows(site_key(row))
+            StateSite::LedgerWindows(site_key(*row))
         })
     }
 
@@ -317,15 +359,15 @@ impl SuspicionLedger {
             return;
         }
         let of = of.max(1);
-        for (i, (&row, e)) in self.entries.iter_mut().enumerate() {
+        for (i, (row, e)) in self.entries.iter_mut().enumerate() {
             let score_index = base + 2 * i as u64;
             if score_index % of == slice % of {
-                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
+                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(*row))) {
                     self.pending.push(c);
                 }
             }
             if (score_index + 1) % of == slice % of {
-                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(row))) {
+                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(*row))) {
                     self.pending.push(c);
                 }
             }
@@ -336,6 +378,49 @@ impl SuspicionLedger {
     /// absorption since the last drain.
     pub fn take_corruptions(&mut self) -> Vec<StateCorruption> {
         std::mem::take(&mut self.pending)
+    }
+}
+
+/// One row's share of a sampling window, grouped from the row-sorted
+/// samples.
+#[derive(Debug, Clone)]
+struct RowGroup {
+    row: RowId,
+    /// Raw samples that hit the row.
+    samples: u32,
+    /// Summed activation-evidence weight of those samples.
+    weight: u64,
+    /// The row's distinct pids in first-seen order, as a range of the
+    /// scratch pid pool.
+    pids: Range<usize>,
+    /// Same-bank samples of other rows.
+    bank_support: u32,
+    /// Extrapolated activation rate per refresh period.
+    rate: f64,
+    /// Whether this window's samples alone flag the row.
+    flagged: bool,
+}
+
+/// Reusable stage-2 analysis buffers. The detector owns one, so a
+/// window's analysis reuses the previous window's allocations.
+#[derive(Debug, Default)]
+pub(crate) struct LocalityScratch {
+    samples: Vec<RowSample>,
+    groups: Vec<RowGroup>,
+    pids: Vec<u32>,
+}
+
+impl LocalityScratch {
+    /// The sample buffer, cleared, for the caller to fill with the next
+    /// window's samples before [`analyze_window`].
+    pub(crate) fn clear_samples(&mut self) -> &mut Vec<RowSample> {
+        self.samples.clear();
+        &mut self.samples
+    }
+
+    /// The current window's samples (row-sorted once analyzed).
+    pub(crate) fn samples(&self) -> &[RowSample] {
+        &self.samples
     }
 }
 
@@ -371,6 +456,26 @@ pub fn analyze_with_ledger(
     refresh_period: Cycle,
     ledger: Option<&mut SuspicionLedger>,
 ) -> LocalityReport {
+    let mut scratch = LocalityScratch::default();
+    scratch.clear_samples().extend_from_slice(samples);
+    analyze_window(config, &mut scratch, misses, ts, refresh_period, ledger)
+}
+
+/// [`analyze_with_ledger`] over the samples in `scratch`, which it sorts
+/// by row in place.
+pub(crate) fn analyze_window(
+    config: &AnvilConfig,
+    scratch: &mut LocalityScratch,
+    misses: u64,
+    ts: Cycle,
+    refresh_period: Cycle,
+    ledger: Option<&mut SuspicionLedger>,
+) -> LocalityReport {
+    let LocalityScratch {
+        samples,
+        groups,
+        pids,
+    } = scratch;
     let total = samples.len() as u32;
     let mut report = LocalityReport {
         aggressors: Vec::new(),
@@ -381,20 +486,37 @@ pub fn analyze_with_ledger(
         return report;
     }
 
-    // Count samples per row (raw count, evidence weight, issuing pids)
-    // and raw samples per bank.
-    let mut per_row: BTreeMap<RowId, (u32, u64, Vec<u32>)> = BTreeMap::new();
-    let mut per_bank: HashMap<u32, u32> = HashMap::new();
+    // Group samples per row (raw count, evidence weight, issuing pids).
+    // The sort is stable, so each row's pids keep their first-seen order,
+    // which the ledger stores and checkpoints carry.
+    samples.sort_by_key(|s| s.row);
+    groups.clear();
+    pids.clear();
     let mut total_weight: u64 = 0;
-    for s in samples {
-        let e = per_row.entry(s.row).or_insert((0, 0, Vec::new()));
-        e.0 += 1;
-        e.1 += u64::from(s.weight);
-        if !e.2.contains(&s.pid) {
-            e.2.push(s.pid);
-        }
-        *per_bank.entry(s.row.bank.0).or_insert(0) += 1;
+    for s in samples.iter() {
         total_weight += u64::from(s.weight);
+        match groups.last_mut() {
+            Some(g) if g.row == s.row => {
+                g.samples += 1;
+                g.weight += u64::from(s.weight);
+                if !pids[g.pids.clone()].contains(&s.pid) {
+                    pids.push(s.pid);
+                    g.pids.end += 1;
+                }
+            }
+            _ => {
+                groups.push(RowGroup {
+                    row: s.row,
+                    samples: 1,
+                    weight: u64::from(s.weight),
+                    pids: pids.len()..pids.len() + 1,
+                    bank_support: 0,
+                    rate: 0.0,
+                    flagged: false,
+                });
+                pids.push(s.pid);
+            }
+        }
     }
     if total_weight == 0 {
         return report;
@@ -405,64 +527,66 @@ pub fn analyze_with_ledger(
     // margin), it carries at least the sample floor, and other same-bank
     // rows corroborate (bank locality). The share is weight-based, which
     // reduces to the paper's count-based share when every sample carries
-    // FULL_WEIGHT.
+    // FULL_WEIGHT. Row order sorts by bank first, so each bank's rows are
+    // one contiguous run of groups.
     let required = crate::transition::required_rate(config);
     let mut aggressors: Vec<AggressorFinding> = Vec::new();
-    let mut evidence: BTreeMap<RowId, (f64, Vec<u32>)> = BTreeMap::new();
-    for (&row, (n, w, pids)) in &per_row {
-        let rate =
-            crate::transition::extrapolated_rate(*w, total_weight, misses, ts, refresh_period);
-        let estimated_rate = rate as u64;
-        let bank_support = per_bank[&row.bank.0] - n;
-        if ledger.is_some() {
-            evidence.insert(row, (rate, pids.clone()));
-        }
-        let suspicious = *n >= config.row_sample_floor
-            && estimated_rate as f64 >= required
-            && bank_support >= config.bank_support_min;
-        if suspicious {
-            let mut pids = pids.clone();
-            pids.sort_unstable();
-            aggressors.push(AggressorFinding {
-                row,
-                samples: *n,
-                estimated_rate,
-                bank_support,
-                pids,
-                via_ledger: false,
-            });
+    for bank_rows in groups.chunk_by_mut(|a, b| a.row.bank == b.row.bank) {
+        let bank_samples: u32 = bank_rows.iter().map(|g| g.samples).sum();
+        for g in bank_rows {
+            g.rate = crate::transition::extrapolated_rate(
+                g.weight,
+                total_weight,
+                misses,
+                ts,
+                refresh_period,
+            );
+            let estimated_rate = g.rate as u64;
+            g.bank_support = bank_samples - g.samples;
+            g.flagged = g.samples >= config.row_sample_floor
+                && estimated_rate as f64 >= required
+                && g.bank_support >= config.bank_support_min;
+            if g.flagged {
+                let mut pids = pids[g.pids.clone()].to_vec();
+                pids.sort_unstable();
+                aggressors.push(AggressorFinding {
+                    row: g.row,
+                    samples: g.samples,
+                    estimated_rate,
+                    bank_support: g.bank_support,
+                    pids,
+                    via_ledger: false,
+                });
+            }
         }
     }
 
     if let Some(ledger) = ledger {
         let h = &config.hardening;
-        ledger.absorb(h.ledger_decay, &evidence);
         let threshold = required * h.ledger_factor;
-        for (&row, entry) in &ledger.entries {
-            let score = read_cell(ledger.guarded, &entry.score);
-            let windows = read_cell(ledger.guarded, &entry.windows);
-            if score < threshold
-                || windows < u64::from(h.ledger_min_windows)
-                || aggressors.iter().any(|a| a.row == row)
-            {
-                continue;
-            }
-            // The ledger only convicts rows with fresh evidence this
-            // window — a decaying score alone never fires.
-            let Some((n, _, _)) = per_row.get(&row) else {
-                continue;
-            };
-            let mut pids = entry.pids.clone();
-            pids.sort_unstable();
-            aggressors.push(AggressorFinding {
-                row,
-                samples: *n,
-                estimated_rate: score as u64,
-                bank_support: per_bank[&row.bank.0] - n,
-                pids,
-                via_ledger: true,
-            });
-        }
+        let min_windows = u64::from(h.ledger_min_windows);
+        // The ledger only convicts rows with fresh evidence this window —
+        // a decaying score alone never fires.
+        ledger.absorb(
+            h.ledger_decay,
+            groups,
+            pids,
+            |g, score, windows, entry_pids| {
+                if score < threshold || windows < min_windows || g.flagged {
+                    return;
+                }
+                let mut pids = entry_pids.to_vec();
+                pids.sort_unstable();
+                aggressors.push(AggressorFinding {
+                    row: g.row,
+                    samples: g.samples,
+                    estimated_rate: score as u64,
+                    bank_support: g.bank_support,
+                    pids,
+                    via_ledger: true,
+                });
+            },
+        );
     }
 
     aggressors.sort_by(|a, b| b.samples.cmp(&a.samples).then(a.row.cmp(&b.row)));
@@ -695,20 +819,25 @@ mod tests {
     fn ledger_window_count_saturates_instead_of_wrapping() {
         // A long-horizon service absorbs evidence for millions of windows;
         // the per-row window count must saturate rather than wrap.
-        let mut ledger = SuspicionLedger::new();
-        ledger.entries.insert(
-            RowId::new(BankId(1), 7),
-            LedgerEntry {
-                score: GuardedCell::new(1e9),
-                windows: GuardedCell::new(u64::MAX),
-                pids: vec![3],
-            },
+        let row = RowId::new(BankId(3), 100);
+        let mut ledger = SuspicionLedger::from_rows(&[LedgerRow {
+            row,
+            score: 1e9,
+            windows: u64::MAX,
+            pids: vec![42],
+        }]);
+        let config = AnvilConfig::hardened();
+        let _ = analyze_with_ledger(
+            &config,
+            &attack_samples(),
+            130_000,
+            TS,
+            PERIOD,
+            Some(&mut ledger),
         );
-        let mut evidence = BTreeMap::new();
-        evidence.insert(RowId::new(BankId(1), 7), (5_000.0, vec![3]));
-        ledger.absorb(0.99, &evidence);
-        let entry = &ledger.entries[&RowId::new(BankId(1), 7)];
-        assert_eq!(entry.windows.peek(), u64::MAX, "must saturate, not wrap");
+        let rows = ledger.to_rows();
+        let entry = rows.iter().find(|r| r.row == row).expect("kept");
+        assert_eq!(entry.windows, u64::MAX, "must saturate, not wrap");
     }
 
     #[test]
@@ -817,6 +946,311 @@ mod proptests {
             paddr: ((bank as u64) << 32) | ((row as u64) << 13),
             pid: 7,
             weight: FULL_WEIGHT,
+        }
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The sort-and-group analysis and the one-walk ledger checked against
+    //! the original map-based implementation, kept here only as a
+    //! reference.
+    use super::*;
+    use anvil_dram::BankId;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    const TS: Cycle = 15_600_000;
+    const PERIOD: Cycle = 166_400_000;
+
+    struct RefLedger {
+        entries: BTreeMap<RowId, LedgerEntry>,
+        guarded: bool,
+        pending: Vec<StateCorruption>,
+    }
+
+    impl RefLedger {
+        fn absorb(&mut self, decay: f64, evidence: &BTreeMap<RowId, (f64, Vec<u32>)>) {
+            let guarded = self.guarded;
+            let pending = &mut self.pending;
+            let mut touch = |row: RowId, e: &mut LedgerEntry, rate: f64, bump: bool| {
+                if guarded {
+                    if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
+                        pending.push(c);
+                    }
+                    if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(row))) {
+                        pending.push(c);
+                    }
+                }
+                let score = read_cell(guarded, &e.score);
+                e.score
+                    .store(crate::transition::ledger_step(decay, score, rate));
+                if bump {
+                    let windows = read_cell(guarded, &e.windows);
+                    e.windows.store(windows.saturating_add(1));
+                }
+            };
+            for (&row, e) in &mut self.entries {
+                if !evidence.contains_key(&row) {
+                    touch(row, e, 0.0, false);
+                }
+            }
+            for (&row, (rate, pids)) in evidence {
+                let e = self.entries.entry(row).or_insert_with(|| LedgerEntry {
+                    score: GuardedCell::new(0.0),
+                    windows: GuardedCell::new(0),
+                    pids: Vec::new(),
+                });
+                touch(row, e, *rate, true);
+                for &pid in pids {
+                    if !e.pids.contains(&pid) {
+                        e.pids.push(pid);
+                    }
+                }
+            }
+            let guarded = self.guarded;
+            self.entries
+                .retain(|_, e| read_cell(guarded, &e.score) >= PRUNE_BELOW);
+        }
+
+        fn to_rows(&self) -> Vec<LedgerRow> {
+            self.entries
+                .iter()
+                .map(|(&row, e)| LedgerRow {
+                    row,
+                    score: read_cell(self.guarded, &e.score),
+                    windows: read_cell(self.guarded, &e.windows),
+                    pids: e.pids.clone(),
+                })
+                .collect()
+        }
+
+        fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
+            let (&row, entry) = self.entries.iter_mut().nth(index / 2)?;
+            Some(if index.is_multiple_of(2) {
+                entry.score.corrupt(replica_mask, bit);
+                StateSite::LedgerScore(site_key(row))
+            } else {
+                entry.windows.corrupt(replica_mask, bit);
+                StateSite::LedgerWindows(site_key(row))
+            })
+        }
+    }
+
+    fn ref_analyze(
+        config: &AnvilConfig,
+        samples: &[RowSample],
+        misses: u64,
+        ts: Cycle,
+        refresh_period: Cycle,
+        ledger: Option<&mut RefLedger>,
+    ) -> LocalityReport {
+        let total = samples.len() as u32;
+        let mut report = LocalityReport {
+            aggressors: Vec::new(),
+            total_samples: total,
+            misses_in_window: misses,
+        };
+        if total == 0 || misses == 0 {
+            return report;
+        }
+        let mut per_row: BTreeMap<RowId, (u32, u64, Vec<u32>)> = BTreeMap::new();
+        let mut per_bank: HashMap<u32, u32> = HashMap::new();
+        let mut total_weight: u64 = 0;
+        for s in samples {
+            let e = per_row.entry(s.row).or_insert((0, 0, Vec::new()));
+            e.0 += 1;
+            e.1 += u64::from(s.weight);
+            if !e.2.contains(&s.pid) {
+                e.2.push(s.pid);
+            }
+            *per_bank.entry(s.row.bank.0).or_insert(0) += 1;
+            total_weight += u64::from(s.weight);
+        }
+        if total_weight == 0 {
+            return report;
+        }
+        let required = crate::transition::required_rate(config);
+        let mut aggressors: Vec<AggressorFinding> = Vec::new();
+        let mut evidence: BTreeMap<RowId, (f64, Vec<u32>)> = BTreeMap::new();
+        for (&row, (n, w, pids)) in &per_row {
+            let rate =
+                crate::transition::extrapolated_rate(*w, total_weight, misses, ts, refresh_period);
+            let estimated_rate = rate as u64;
+            let bank_support = per_bank[&row.bank.0] - n;
+            if ledger.is_some() {
+                evidence.insert(row, (rate, pids.clone()));
+            }
+            let suspicious = *n >= config.row_sample_floor
+                && estimated_rate as f64 >= required
+                && bank_support >= config.bank_support_min;
+            if suspicious {
+                let mut pids = pids.clone();
+                pids.sort_unstable();
+                aggressors.push(AggressorFinding {
+                    row,
+                    samples: *n,
+                    estimated_rate,
+                    bank_support,
+                    pids,
+                    via_ledger: false,
+                });
+            }
+        }
+        if let Some(ledger) = ledger {
+            let h = &config.hardening;
+            ledger.absorb(h.ledger_decay, &evidence);
+            let threshold = required * h.ledger_factor;
+            for (&row, entry) in &ledger.entries {
+                let score = read_cell(ledger.guarded, &entry.score);
+                let windows = read_cell(ledger.guarded, &entry.windows);
+                if score < threshold
+                    || windows < u64::from(h.ledger_min_windows)
+                    || aggressors.iter().any(|a| a.row == row)
+                {
+                    continue;
+                }
+                let Some((n, _, _)) = per_row.get(&row) else {
+                    continue;
+                };
+                let mut pids = entry.pids.clone();
+                pids.sort_unstable();
+                aggressors.push(AggressorFinding {
+                    row,
+                    samples: *n,
+                    estimated_rate: score as u64,
+                    bank_support: per_bank[&row.bank.0] - n,
+                    pids,
+                    via_ledger: true,
+                });
+            }
+        }
+        aggressors.sort_by(|a, b| b.samples.cmp(&a.samples).then(a.row.cmp(&b.row)));
+        report.aggressors = aggressors;
+        report
+    }
+
+    /// Ledger rows with scores as bits, so NaN scores (reachable through
+    /// unguarded corruption) compare by value.
+    fn row_bits(rows: &[LedgerRow]) -> Vec<(RowId, u64, u64, Vec<u32>)> {
+        rows.iter()
+            .map(|r| (r.row, r.score.to_bits(), r.windows, r.pids.clone()))
+            .collect()
+    }
+
+    type Sample = (u32, u32, u32, u8);
+    type Window = (Vec<Sample>, u64, Vec<(usize, u8, u8)>);
+
+    fn to_samples(raw: &[Sample]) -> Vec<RowSample> {
+        raw.iter()
+            .map(|&(bank, row, pid, weight)| RowSample {
+                row: RowId::new(BankId(bank), row),
+                paddr: (u64::from(bank) << 32) | (u64::from(row) << 13),
+                pid,
+                weight: match weight {
+                    0 => 0,
+                    1 => 200,
+                    2 => 999,
+                    _ => FULL_WEIGHT,
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn non_finite_scores_prune_like_the_reference() {
+        // Unguarded corruption can leave a NaN or infinite score; NaN
+        // fails the prune comparison and must be dropped.
+        let rows: Vec<LedgerRow> = [f64::NAN, f64::INFINITY, 5.0, 1e6]
+            .iter()
+            .enumerate()
+            .map(|(i, &score)| LedgerRow {
+                row: RowId::new(BankId(1), i as u32),
+                score,
+                windows: 3,
+                pids: vec![1],
+            })
+            .collect();
+        let mut ledger = SuspicionLedger::from_rows(&rows);
+        let mut reference = RefLedger {
+            entries: BTreeMap::new(),
+            guarded: true,
+            pending: Vec::new(),
+        };
+        for r in &rows {
+            reference.entries.insert(
+                r.row,
+                LedgerEntry {
+                    score: GuardedCell::new(r.score),
+                    windows: GuardedCell::new(r.windows),
+                    pids: r.pids.clone(),
+                },
+            );
+        }
+        let config = AnvilConfig::hardened();
+        for samples in [
+            vec![],
+            to_samples(&[(1, 0, 2, 3), (1, 3, 2, 3), (2, 9, 1, 3)]),
+        ] {
+            let got = analyze_with_ledger(&config, &samples, 90_000, TS, PERIOD, Some(&mut ledger));
+            let want = ref_analyze(&config, &samples, 90_000, TS, PERIOD, Some(&mut reference));
+            assert_eq!(got, want);
+            assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
+        }
+        assert!(ledger.to_rows().iter().all(|r| !r.score.is_nan()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Over several windows of random samples (rows, banks, pids,
+        /// weights, empty and zero-weight windows, zero-miss windows) with
+        /// ledger cells corrupted between windows, the reports, the
+        /// ledger rows (pid order included) and the corruption sequence
+        /// all match the reference, guarded and unguarded.
+        #[test]
+        fn analysis_and_ledger_match_the_map_based_reference(
+            windows in prop::collection::vec(
+                (
+                    prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                    0u64..400_000,
+                    prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
+                ),
+                1..10,
+            ),
+            guarded in any::<bool>(),
+        ) {
+            let config = AnvilConfig::hardened();
+            let mut ledger = SuspicionLedger::new();
+            ledger.set_guarded(guarded);
+            let mut reference = RefLedger {
+                entries: BTreeMap::new(),
+                guarded,
+                pending: Vec::new(),
+            };
+            let windows: &[Window] = &windows;
+            for (raw, misses, hits) in windows {
+                // One window in twenty carries no misses.
+                let misses = if *misses < 20_000 { 0 } else { *misses };
+                let samples = to_samples(raw);
+                let got = analyze_with_ledger(&config, &samples, misses, TS, PERIOD, Some(&mut ledger));
+                let want = ref_analyze(&config, &samples, misses, TS, PERIOD, Some(&mut reference));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(
+                    analyze(&config, &samples, misses, TS, PERIOD),
+                    ref_analyze(&config, &samples, misses, TS, PERIOD, None)
+                );
+                prop_assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
+                prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
+                for &(cell, mask, bit) in hits {
+                    let cells = ledger.cell_count();
+                    if cells > 0 {
+                        prop_assert_eq!(
+                            ledger.corrupt_cell(cell % cells, mask, bit),
+                            reference.corrupt_cell(cell % cells, mask, bit)
+                        );
+                    }
+                }
+            }
         }
     }
 }

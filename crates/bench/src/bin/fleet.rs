@@ -32,7 +32,11 @@
 //! cargo run --release -p anvil-bench --bin fleet                  # full (48 machines)
 //! cargo run --release -p anvil-bench --bin fleet -- --smoke       # CI subset
 //! cargo run --release -p anvil-bench --bin fleet -- --machines 8 --domains 8 --seed 7
+//! cargo run --release -p anvil-bench --bin fleet -- --engine per-op  # reference core
 //! ```
+//!
+//! `--engine per-op|event` selects the simulation core (default:
+//! `event`); `results/fleet.json` is byte-identical either way.
 
 use anvil_bench::{campaigns, write_json, CampaignArgs, Table};
 use anvil_fleet::FleetConfig;
@@ -93,7 +97,7 @@ fn main() {
         cfg.topology.channels,
         cfg.topology.dimms_per_channel
     );
-    let out = campaigns::fleet(&cfg, args.smoke, args.threads);
+    let out = campaigns::fleet(&cfg, args.smoke, args.threads, args.engine);
     let r = &out.risk;
 
     let mut table = Table::new(

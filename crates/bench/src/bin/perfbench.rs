@@ -4,7 +4,7 @@
 //! Times each optimized hot-path layer (cache access, DRAM
 //! activate+disturb, the epoch-skipping closed forms, platform step,
 //! full detector window) and the end-to-end soak workload — serial and
-//! fanned through [`anvil_bench::run_cells`] — then writes
+//! fanned through [`anvil_bench::run_cells_checked`] — then writes
 //! `results/BENCH_hotpath.json` so later PRs can compare against this
 //! PR's numbers instead of re-deriving them.
 //!
@@ -35,7 +35,7 @@
 //!     --git-sha "$(git rev-parse --short HEAD)" --stamp 2026-08-08
 //! ```
 
-use anvil_bench::{run_cells, write_json, CampaignArgs};
+use anvil_bench::{run_cells_checked, write_json, CampaignArgs};
 use anvil_cache::{CacheHierarchy, HierarchyConfig};
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
 use anvil_dram::{
@@ -140,9 +140,12 @@ fn soak_windows_per_sec(
         })
         .collect();
     let start = Instant::now();
-    let results = run_cells(threads, jobs);
+    let results = run_cells_checked(threads, jobs);
     let elapsed = start.elapsed().as_secs_f64();
-    let total: u64 = results.iter().map(|s| s.windows).sum();
+    let total: u64 = results
+        .into_iter()
+        .map(|r| r.expect("soak cells complete").windows)
+        .sum();
     total as f64 / elapsed
 }
 

@@ -35,7 +35,11 @@
 //! cargo run --release -p anvil-bench --bin selfdefense             # full (3 trials × 420 windows)
 //! cargo run --release -p anvil-bench --bin selfdefense -- --smoke  # CI subset (2 × 160)
 //! cargo run --release -p anvil-bench --bin selfdefense -- --seed 7 --threads 4
+//! cargo run --release -p anvil-bench --bin selfdefense -- --engine per-op  # reference core
 //! ```
+//!
+//! `--engine per-op|event` selects the simulation core (default:
+//! `event`); `results/selfdefense.json` is byte-identical either way.
 
 use anvil_bench::{campaigns, write_json, CampaignArgs, Table};
 use anvil_runtime::install_quiet_panic_hook;
@@ -52,7 +56,7 @@ fn main() {
         "selfdefense: {} trials × 2 arms, seed {seed:#x}",
         if args.smoke { 2 } else { 3 }
     );
-    let out = campaigns::selfdefense(args.smoke, seed, args.threads);
+    let out = campaigns::selfdefense(args.smoke, seed, args.threads, args.engine);
     let v = &out.verdict;
 
     let mut table = Table::new(

@@ -70,7 +70,7 @@ fn main() {
         cfg.reload_every,
         args.engine.as_str()
     );
-    let out = campaigns::soak_with_engine(&cfg, seed, args.smoke, args.threads, args.engine);
+    let out = campaigns::soak(&cfg, seed, args.smoke, args.threads, args.engine);
     let Some(s) = &out.summary else {
         // The soak cell itself died: the panic is recorded as typed data
         // in the JSON record instead of aborting the campaign binary.

@@ -4,7 +4,7 @@
 //! Each campaign is a matrix of *independent* scenario cells: every cell
 //! builds its own `Platform` from the campaign seed and shares no mutable
 //! state, so the cells fan out across worker threads via
-//! [`run_cells`](crate::harness::run_cells) while the collected results —
+//! [`run_cells_checked`](crate::harness::run_cells_checked) while the collected results —
 //! and therefore the JSON record — stay byte-for-byte identical to a
 //! serial run. The binaries keep only argument parsing, table rendering,
 //! and exit codes; tests call these functions directly to prove
@@ -23,7 +23,7 @@ use anvil_core::{
 };
 use anvil_dram::DisturbanceConfig;
 use anvil_faults::{FaultPlan, FaultScenario};
-use anvil_fleet::{run_machine, FleetConfig, FleetRisk, MachineSummary};
+use anvil_fleet::{run_machine_with_engine, FleetConfig, FleetRisk, MachineSummary};
 use anvil_fuzz::{run_campaign, FuzzOptions, FuzzReport, Scenario, ScenarioOutcome};
 use anvil_mem::MemoryConfig;
 use anvil_runtime::{soak as soak_engine, Engine, SoakConfig, SoakSummary};
@@ -826,22 +826,17 @@ impl SoakOutcome {
     }
 }
 
-/// Runs the supervised-lifetime soak campaign; see the `soak` binary
-/// docs.
+/// Runs the supervised-lifetime soak campaign under `engine`; see the
+/// `soak` binary docs.
 ///
 /// The soak is one continuous supervised detector lifetime — its windows
 /// are causally chained (checkpoints, crash recovery, hot reloads), so
 /// unlike the matrix campaigns it is a *single* cell: `threads` is
 /// accepted for interface uniformity (and so the thread-count determinism
-/// tests cover it) but cannot subdivide the run.
-pub fn soak(cfg: &SoakConfig, seed: u64, smoke: bool, threads: usize) -> SoakOutcome {
-    soak_with_engine(cfg, seed, smoke, threads, Engine::default())
-}
-
-/// [`soak`] under an explicit simulation [`Engine`]. The JSON record is
+/// tests cover it) but cannot subdivide the run. The JSON record is
 /// byte-identical across engines (the cross-engine CI smoke diffs them),
 /// so the engine is deliberately not serialized into it.
-pub fn soak_with_engine(
+pub fn soak(
     cfg: &SoakConfig,
     seed: u64,
     smoke: bool,
@@ -1014,16 +1009,16 @@ pub struct FleetOutcome {
 
 /// Runs the fleet-scale Monte Carlo campaign; see the `fleet` binary
 /// docs. One machine is one pure cell of `(cfg, machine_index)`:
-/// [`run_machine`] fans across up to `threads` workers via
+/// [`run_machine_with_engine`] fans across up to `threads` workers via
 /// [`run_cells_checked`] and the summaries fold into [`FleetRisk`] in
 /// submission order, so the record is byte-for-byte identical at any
-/// thread count.
-pub fn fleet(cfg: &FleetConfig, smoke: bool, threads: usize) -> FleetOutcome {
+/// thread count and under either [`Engine`].
+pub fn fleet(cfg: &FleetConfig, smoke: bool, threads: usize, engine: Engine) -> FleetOutcome {
     let mut jobs: Vec<Box<dyn FnOnce() -> MachineSummary + Send>> = Vec::new();
     for machine in 0..cfg.machines {
         let cfg = *cfg;
         jobs.push(Box::new(move || {
-            let m = run_machine(&cfg, machine);
+            let m = run_machine_with_engine(&cfg, machine, engine);
             let exposure: u64 = m.domains.iter().map(|d| d.exposure_flips).sum();
             let undeclared: u64 = m.domains.iter().map(|d| d.undeclared_flips).sum();
             eprintln!(
@@ -1168,14 +1163,14 @@ pub struct SelfDefenseOutcome {
 /// [`run_self_defense_arm`](crate::selfdefense::run_arm) fans across up
 /// to `threads` workers via [`run_cells_checked`] and folds in
 /// submission order, so the record is byte-for-byte identical at any
-/// thread count.
-pub fn selfdefense(smoke: bool, seed: u64, threads: usize) -> SelfDefenseOutcome {
+/// thread count and under either [`Engine`].
+pub fn selfdefense(smoke: bool, seed: u64, threads: usize, engine: Engine) -> SelfDefenseOutcome {
     let (trials, windows) = if smoke { (2, 160) } else { (3, 420) };
     let mut jobs: Vec<Box<dyn FnOnce() -> SelfDefenseCell + Send>> = Vec::new();
     for trial in 0..trials {
         for guarded in [false, true] {
             jobs.push(Box::new(move || {
-                let c = crate::selfdefense::run_arm(seed, windows, guarded, trial);
+                let c = crate::selfdefense::run_arm(seed, windows, guarded, trial, engine);
                 eprintln!(
                     "  [trial {trial} {}] detections {}, state flips {}, repaired {}, \
                      escalated {}, absorbed {}, undeclared data flips {}",

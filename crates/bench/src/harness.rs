@@ -40,16 +40,6 @@ impl Scale {
     }
 }
 
-/// Parses a `--windows N` override from the process arguments: the
-/// number of detector windows a campaign should run, shared by every
-/// campaign binary (`resilience`, `evasion`, `soak`). Returns `None`
-/// when absent so each campaign applies its own default; a present flag
-/// with a malformed or zero value warns on stderr (naming the bad value)
-/// and also returns `None` rather than aborting the campaign.
-pub fn windows_from_args() -> Option<u64> {
-    CampaignArgs::from_env().windows
-}
-
 /// The command-line arguments shared by the campaign binaries (`soak`,
 /// `resilience`, `evasion`, `detection_matrix`), parsed once instead of
 /// each binary re-scanning `std::env::args()` ad hoc.
@@ -78,7 +68,7 @@ pub struct CampaignArgs {
     /// `1..=64` (`None`: campaign default). Only the `fleet` binary
     /// reads it.
     pub domains: Option<u64>,
-    /// `--threads N`: worker threads for [`run_cells`]. Defaults to the
+    /// `--threads N`: worker threads for [`run_cells_checked`]. Defaults to the
     /// machine's available parallelism — campaign output is byte-for-byte
     /// independent of this value, so there is no reproducibility reason to
     /// pin it.
@@ -293,23 +283,6 @@ where
             m.into_inner()
                 .expect("slot mutex poisoned")
                 .expect("every job ran to completion")
-        })
-        .collect()
-}
-
-/// [`run_cells_checked`] for campaigns whose cells are trusted not to
-/// panic: unwraps each slot, re-raising the first cell panic (with its
-/// index and message) after every other cell has finished.
-pub fn run_cells<T, F>(threads: usize, cells: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_cells_checked(threads, cells)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(p) => panic!("{p}"),
         })
         .collect()
 }

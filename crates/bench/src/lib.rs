@@ -25,8 +25,8 @@ pub mod selfdefense;
 
 pub use harness::{
     detection_run, double_refresh_platform, evasion_resilience_run, false_positive_rate,
-    normalized_time, normalized_time_target, resilience_run, run_cells, run_cells_checked,
-    vulnerable_pair_index, windows_from_args, AttackKind, CampaignArgs, CellPanic,
-    DetectionSummary, ResilienceSummary, Scale,
+    normalized_time, normalized_time_target, resilience_run, run_cells_checked,
+    vulnerable_pair_index, AttackKind, CampaignArgs, CellPanic, DetectionSummary,
+    ResilienceSummary, Scale,
 };
 pub use report::{write_json, Table};

@@ -52,15 +52,11 @@
 //! downtime gap charged against the envelope's downtime budget.
 
 use anvil_adversary::StateTargetingHammer;
-use anvil_cache::HitLevel;
-use anvil_core::{
-    AnvilConfig, DetectorStage, EnvelopeParams, GuaranteeEnvelope, ServiceOutcome, StateSite,
-};
-use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramGeometry, DramLocation, RowId};
+use anvil_core::{AnvilConfig, EnvelopeParams, GuaranteeEnvelope, StateSite};
+use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{hash64, FaultRng};
-use anvil_mem::{AccessKind, AccessOutcome, StateLayout, StateRowMap};
-use anvil_pmu::{EventKind, Pmu, RetiredOp};
-use anvil_runtime::{RuntimeConfig, SupervisedOutcome, Supervisor};
+use anvil_mem::{StateLayout, StateRowMap};
+use anvil_runtime::{Engine, RuntimeConfig, WindowDriver};
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -110,12 +106,6 @@ const WEAK_BIT: u8 = 62;
 /// escalation policy exists for.
 const STRIKE_BIT: u8 = 61;
 
-/// Ops materialized per stage-2 window (mirrors the soak/fleet engines).
-const SAMPLED_OPS: u64 = 120;
-/// Attacker pid in the simulated traffic mix.
-const ATTACKER_PID: u32 = 7;
-/// Benign streaming pid.
-const BENIGN_PID: u32 = 3;
 /// Injector stream tag for benign traffic (matching the fleet engine).
 const TRAFFIC_SITE: u64 = 6;
 /// Bank and base row where the kernel module's static state landed.
@@ -131,7 +121,8 @@ pub struct ArmCell {
     pub trial: u64,
     /// State placement: `"naive"` (unguarded) or `"interleaved"`.
     pub layout: &'static str,
-    /// Windows simulated.
+    /// Windows serviced: fewer than requested only when the restart
+    /// budget ran out.
     pub windows: u64,
     /// Supervised service calls that completed.
     pub services: u64,
@@ -175,25 +166,28 @@ pub struct ArmCell {
 
 /// Runs one campaign cell: one supervised detector lifetime under the
 /// state-targeting attack. A pure function of `(seed, windows, guarded,
-/// trial)`, so cells fan out across threads without changing the record.
-#[allow(clippy::too_many_lines)]
+/// trial)`, so cells fan out across threads without changing the record;
+/// the cell is the same under either [`Engine`].
 #[must_use]
-pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
+pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64, engine: Engine) -> ArmCell {
     let cell_seed = hash64(seed ^ (trial << 1 | u64::from(guarded)).wrapping_mul(0x9E37_79B9));
     let clock = CpuClock::SANDY_BRIDGE_2_6GHZ;
-    let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
     let params = EnvelopeParams::paper_platform().with_flip_threshold(DATA_FLIP_THRESHOLD);
     let mut anvil = AnvilConfig::hardened();
     anvil.hardening.phase_seed = cell_seed;
     let envelope = GuaranteeEnvelope::audit(&anvil, &clock, &params);
     let downtime_budget = envelope.downtime_budget(params.attack_access_cycles);
-    let mut pmu = Pmu::new(anvil.sampling);
     let runtime = RuntimeConfig {
         guard_state: guarded,
         jitter_seed: cell_seed,
         ..RuntimeConfig::default()
     };
-    let mut sup = Supervisor::new(anvil, runtime, clock, params.refresh_period, 0, &mut pmu);
+    let mut driver = WindowDriver::new(
+        engine,
+        anvil.sampling,
+        FaultRng::new(cell_seed).fork(TRAFFIC_SITE),
+    );
+    driver.boot(anvil, runtime, clock, params.refresh_period, None);
 
     let layout = if guarded {
         StateLayout::Interleaved
@@ -204,11 +198,10 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
         layout,
         STATE_BANK,
         STATE_BASE_ROW,
-        sup.state_cell_count().min(4),
+        driver.supervisor().state_cell_count().min(4),
     );
     let rows = map.state_rows();
     let hammer = StateTargetingHammer::new().with_paced_activations(PACED_ACTIVATIONS);
-    let mut traffic = FaultRng::new(cell_seed).fork(TRAFFIC_SITE);
     // The double-sided pair around the base state row splashes
     // single-sided disturbance two rows out: the co-located data victim.
     let data_victim = RowId::new(STATE_BANK, STATE_BASE_ROW + 2);
@@ -227,9 +220,7 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
 
     let (mut injected, mut correlated) = (0u64, 0u64);
     let (mut declared_repaired, mut declared_escalated) = (0u64, 0u64);
-    let (mut crossings, mut detections, mut refreshes_applied) = (0u64, 0u64, 0u64);
     let (mut undeclared_flips, mut exposure_flips) = (0u64, 0u64);
-    let mut last_serviced: Cycle = 0;
 
     for w in 0..windows {
         // The hammer's view of scrub neglect: guarded, the incremental
@@ -248,6 +239,7 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
             .target_at(w / TARGET_DWELL, &ages)
             .expect("state rows exist");
         let paced = hammer.paced_activations();
+        let sup = driver.supervisor_mut();
         state_evidence[t] += paced;
         if rows[t].row == STATE_BASE_ROW {
             data_evidence += paced / 2;
@@ -279,115 +271,36 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
             }
         }
 
-        let benign = 200 + traffic.below(2_801);
-        let deadline = sup.deadline();
-        let aggressors = [
-            mapping.address_of(DramLocation {
-                bank: rows[t].bank,
-                row: rows[t].row - 1,
-                col: 0,
-            }),
-            mapping.address_of(DramLocation {
-                bank: rows[t].bank,
-                row: rows[t].row + 1,
-                col: 0,
-            }),
-        ];
-        if sup.detector().stage() == DetectorStage::Sampling {
-            let span = deadline.saturating_sub(last_serviced).max(SAMPLED_OPS + 1);
-            for i in 0..SAMPLED_OPS {
-                let ts = last_serviced + span * (i + 1) / (SAMPLED_OPS + 1);
-                let op = if i % 16 == 15 {
-                    dram_read(traffic.below(1 << 30) & !63, BENIGN_PID)
-                } else {
-                    dram_read(aggressors[(i % 2) as usize], ATTACKER_PID)
-                };
-                pmu.observe_at(&op, ts);
+        let aggressors = driver.pair_around(rows[t]);
+        let Ok(out) = driver.window(paced, Some(aggressors)) else {
+            break;
+        };
+        if let Some(gap) = out.restart_gap {
+            // The restart rebuilt (re-sealed) every state cell.
+            flipped_mask = 0;
+            // The attacker bursts full-rate into the declared downtime
+            // gap; the recovery blanket refresh then clears the
+            // accumulated disturbance, but the burst's state-row charge
+            // carries into the next window's flip test.
+            let burst = StateTargetingHammer::gap_activations(gap);
+            data_evidence += burst;
+            if data_evidence >= DATA_FLIP_THRESHOLD {
+                exposure_flips += data_evidence / DATA_FLIP_THRESHOLD;
             }
-            bulk_misses(
-                &mut pmu,
-                (paced + benign).saturating_sub(SAMPLED_OPS),
-                deadline.saturating_sub(1),
-            );
+            data_evidence = 0;
+            state_evidence[t] += burst;
         } else {
-            bulk_misses(&mut pmu, paced + benign, deadline.saturating_sub(1));
-        }
-
-        match sup.service(deadline, &mut pmu, &mapping, &mut |_, v| Some(v)) {
-            Ok(SupervisedOutcome::Serviced {
-                outcome,
-                serviced_at,
-            }) => {
-                last_serviced = serviced_at;
-                match outcome {
-                    ServiceOutcome::Quiet { .. } => {}
-                    ServiceOutcome::Armed { .. } => crossings += 1,
-                    ServiceOutcome::Analyzed {
-                        report, refreshes, ..
-                    } => {
-                        if report.detected() {
-                            detections += 1;
-                        }
-                        refreshes_applied += refreshes.len() as u64;
-                        for (row, _) in &refreshes {
-                            for (i, r) in rows.iter().enumerate() {
-                                if row == r {
-                                    state_evidence[i] = 0;
-                                }
-                            }
-                            if *row == data_victim {
-                                data_evidence = 0;
-                            }
-                        }
-                    }
-                    ServiceOutcome::Degraded {
-                        report,
-                        refreshes,
-                        banks,
-                        ..
-                    } => {
-                        if report.detected() {
-                            detections += 1;
-                        }
-                        refreshes_applied += refreshes.len() as u64;
-                        let bank_hit = banks.contains(&STATE_BANK);
-                        for (row, _) in &refreshes {
-                            for (i, r) in rows.iter().enumerate() {
-                                if row == r {
-                                    state_evidence[i] = 0;
-                                }
-                            }
-                            if *row == data_victim {
-                                data_evidence = 0;
-                            }
-                        }
-                        if bank_hit {
-                            state_evidence.fill(0);
-                            data_evidence = 0;
-                        }
-                    }
+            for (i, r) in rows.iter().enumerate() {
+                if out.rewrites(*r) {
+                    state_evidence[i] = 0;
                 }
             }
-            Ok(SupervisedOutcome::Restarted(recovery)) => {
-                last_serviced = recovery.resumed_at;
-                // The restart rebuilt (re-sealed) every state cell.
-                flipped_mask = 0;
-                // The attacker bursts full-rate into the declared
-                // downtime gap; the recovery blanket refresh then clears
-                // the accumulated disturbance, but the burst's state-row
-                // charge carries into the next window's flip test.
-                let burst = StateTargetingHammer::gap_activations(recovery.gap);
-                data_evidence += burst;
-                if data_evidence >= DATA_FLIP_THRESHOLD {
-                    exposure_flips += data_evidence / DATA_FLIP_THRESHOLD;
-                }
+            if out.rewrites(data_victim) {
                 data_evidence = 0;
-                state_evidence[t] += burst;
             }
-            Err(_) => break,
         }
 
-        for c in sup.drain_state_corruptions() {
+        for c in driver.supervisor_mut().drain_state_corruptions() {
             if c.repaired {
                 declared_repaired += 1;
             } else {
@@ -414,7 +327,7 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
     // Teardown sweep: anything the incremental scrub had not reached yet
     // is declared now; whatever remains outstanding was silently
     // absorbed (the unguarded baseline absorbs everything).
-    for c in sup.scrub_state_final() {
+    for c in driver.supervisor_mut().scrub_state_final() {
         if c.repaired {
             declared_repaired += 1;
         } else {
@@ -422,7 +335,8 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
         }
         outstanding.remove(&c.site);
     }
-    let stats = *sup.stats();
+    let stats = *driver.supervisor().stats();
+    let tally = driver.tally();
     ArmCell {
         arm: if guarded { "guarded" } else { "unguarded" },
         trial,
@@ -430,11 +344,11 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
             StateLayout::Naive => "naive",
             StateLayout::Interleaved => "interleaved",
         },
-        windows,
+        windows: driver.windows(),
         services: stats.services,
-        threshold_crossings: crossings,
-        detections,
-        selective_refreshes: refreshes_applied,
+        threshold_crossings: tally.threshold_crossings,
+        detections: tally.detections,
+        selective_refreshes: tally.selective_refreshes,
         state_flips_injected: injected,
         correlated_strikes: correlated,
         declared_repaired,
@@ -450,29 +364,6 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64) -> ArmCell {
         undeclared_flips,
         exposure_flips,
     }
-}
-
-/// A DRAM-sourced read the PMU can sample (mirrors the soak and fleet
-/// engines): identity-mapped, with a latency above the row-miss cutoff.
-fn dram_read(paddr: u64, pid: u32) -> RetiredOp {
-    RetiredOp {
-        vaddr: paddr,
-        pid,
-        outcome: AccessOutcome {
-            paddr,
-            kind: AccessKind::Read,
-            level: HitLevel::Memory,
-            advance: 184,
-            dram: None,
-        },
-    }
-}
-
-/// Bulk-charges `n` LLC-missing loads to both stage-1 counters at `t`.
-fn bulk_misses(pmu: &mut Pmu, n: u64, t: Cycle) {
-    pmu.counter_mut(EventKind::LongestLatCacheMiss).add(n, t);
-    pmu.counter_mut(EventKind::MemLoadUopsRetiredLlcMiss)
-        .add(n, t);
 }
 
 #[cfg(test)]
@@ -491,8 +382,8 @@ mod tests {
 
     #[test]
     fn the_guarded_arm_survives_what_blinds_the_unguarded_arm() {
-        let unguarded = run_arm(0xD0_0D, 120, false, 0);
-        let guarded = run_arm(0xD0_0D, 120, true, 0);
+        let unguarded = run_arm(0xD0_0D, 120, false, 0, Engine::default());
+        let guarded = run_arm(0xD0_0D, 120, true, 0, Engine::default());
         assert!(
             guarded.detections > unguarded.detections,
             "guarded {} vs unguarded {}",
@@ -511,8 +402,8 @@ mod tests {
 
     #[test]
     fn cells_are_pure_functions_of_their_inputs() {
-        let a = run_arm(7, 60, true, 1);
-        let b = run_arm(7, 60, true, 1);
+        let a = run_arm(7, 60, true, 1, Engine::default());
+        let b = run_arm(7, 60, true, 1, Engine::default());
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()

@@ -5,7 +5,7 @@
 
 use anvil_bench::campaigns;
 use anvil_fleet::FleetConfig;
-use anvil_runtime::install_quiet_panic_hook;
+use anvil_runtime::{install_quiet_panic_hook, Engine};
 
 /// Serializes a campaign record exactly as `write_json` would.
 fn bytes(v: &serde_json::Value) -> String {
@@ -27,7 +27,7 @@ fn fleet_campaign_is_thread_count_independent() {
     let cfg = small_fleet();
     let runs: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&t| bytes(&campaigns::fleet(&cfg, true, t).json))
+        .map(|&t| bytes(&campaigns::fleet(&cfg, true, t, Engine::default()).json))
         .collect();
     assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged");
     assert_eq!(runs[0], runs[2], "1 vs 4 threads diverged");
@@ -37,7 +37,7 @@ fn fleet_campaign_is_thread_count_independent() {
 fn fleet_gates_hold_and_fault_machinery_engages() {
     install_quiet_panic_hook();
     let cfg = small_fleet();
-    let out = campaigns::fleet(&cfg, true, 2);
+    let out = campaigns::fleet(&cfg, true, 2, Engine::default());
     let r = &out.risk;
 
     // The fleet gate: no undeclared flips, no budget violations, no
@@ -67,7 +67,7 @@ fn fleet_gates_hold_and_fault_machinery_engages() {
 fn fleet_record_carries_per_dimm_populations_and_verdict() {
     install_quiet_panic_hook();
     let cfg = small_fleet();
-    let out = campaigns::fleet(&cfg, true, 2);
+    let out = campaigns::fleet(&cfg, true, 2, Engine::default());
     let v = &out.json;
 
     assert_eq!(v["experiment"], serde_json::json!("fleet"));

@@ -1,10 +1,10 @@
 //! Thread-count determinism of the parallel campaign executor: the same
 //! campaign at `--threads 1`, `2`, and N must produce identical JSON
-//! bytes, because `run_cells` only changes *when* a cell runs, never
+//! bytes, because `run_cells_checked` only changes *when* a cell runs, never
 //! *what* it computes or where its result lands.
 
-use anvil_bench::{campaigns, run_cells, CampaignArgs};
-use anvil_runtime::{install_quiet_panic_hook, SoakConfig};
+use anvil_bench::{campaigns, run_cells_checked, CampaignArgs};
+use anvil_runtime::{install_quiet_panic_hook, Engine, SoakConfig};
 
 /// Serializes a campaign record exactly as `write_json` would.
 fn bytes(v: &serde_json::Value) -> String {
@@ -15,10 +15,10 @@ fn bytes(v: &serde_json::Value) -> String {
 fn run_cells_preserves_cell_order() {
     for threads in [1, 2, 3, 8] {
         let cells: Vec<_> = (0..17).map(|i| move || i * i).collect();
-        let out = run_cells(threads, cells);
+        let out = run_cells_checked(threads, cells);
         assert_eq!(
             out,
-            (0..17).map(|i| i * i).collect::<Vec<_>>(),
+            (0..17).map(|i| Ok(i * i)).collect::<Vec<_>>(),
             "results out of order at {threads} threads"
         );
     }
@@ -56,7 +56,7 @@ fn soak_campaign_is_thread_count_independent() {
     cfg.reload_every = 2_000;
     let runs: Vec<String> = [1usize, 2]
         .iter()
-        .map(|&t| bytes(&campaigns::soak(&cfg, 0x50AC, true, t).json))
+        .map(|&t| bytes(&campaigns::soak(&cfg, 0x50AC, true, t, Engine::default()).json))
         .collect();
     assert_eq!(runs[0], runs[1], "soak diverged across thread counts");
 }

@@ -2,26 +2,18 @@
 //! population, its degradation ladder, and its flip accounting.
 
 use anvil_adversary::CrossDomainHammer;
-use anvil_cache::HitLevel;
-use anvil_core::{AnvilConfig, DetectorStage, GuaranteeEnvelope, ServiceOutcome};
-use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramLocation, RowId};
+use anvil_core::{AnvilConfig, GuaranteeEnvelope};
+use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{FaultRng, LifecycleInjector};
-use anvil_mem::{domain_seed, AccessKind, AccessOutcome, DomainId};
-use anvil_pmu::{EventKind, Pmu, RetiredOp};
+use anvil_mem::{domain_seed, DomainId};
 use anvil_runtime::{
-    DegradationLadder, LadderCause, ProtectionLevel, SupervisedOutcome, Supervisor,
+    DegradationLadder, Engine, LadderCause, ProtectionLevel, RuntimeStats, WindowDriver,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::machine::FleetConfig;
 use crate::weakcells::DimmPopulation;
 
-/// Ops materialized per stage-2 window (mirrors the soak engine).
-const SAMPLED_OPS: u64 = 120;
-/// Attacker pid in the simulated traffic mix.
-const ATTACKER_PID: u32 = 7;
-/// Benign streaming pid.
-const BENIGN_PID: u32 = 3;
 /// Injector stream tags: supervisor lifecycle faults and benign traffic
 /// (matching the soak engine's site layout), weak-cell sampling, and the
 /// stride between rebuilt supervisors' fault streams.
@@ -107,30 +99,17 @@ pub(crate) struct DomainRuntime {
     downtime_budget: Cycle,
     anvil: AnvilConfig,
     ladder: DegradationLadder,
-    pmu: Pmu,
-    sup: Option<Supervisor>,
-    traffic: FaultRng,
+    driver: WindowDriver,
     aggressors: [u64; 2],
     victim: RowId,
     evidence: u64,
-    last_serviced: Cycle,
     rebuilds: u64,
     quarantined: bool,
     undeclared_flips: u64,
     exposure_flips: u64,
-    threshold_crossings: u64,
-    detections: u64,
-    selective_refreshes: u64,
     blanket_refreshes: u64,
-    // Supervisor counters folded across rebuilds/teardowns.
-    acc_services: u64,
-    acc_crashes: u64,
-    acc_restarts: u64,
-    acc_cold_starts: u64,
-    acc_torn: u64,
-    acc_rejections: u64,
-    acc_worst_gap: Cycle,
-    acc_downtime: Cycle,
+    /// Counters of every retired supervisor, folded.
+    retired: RuntimeStats,
 }
 
 impl DomainRuntime {
@@ -143,7 +122,7 @@ impl DomainRuntime {
         id: DomainId,
         channel: u32,
         clock: CpuClock,
-        mapping: &AddressMapping,
+        engine: Engine,
     ) -> Self {
         let seed = domain_seed(cfg.seed, machine, id);
         let population = cfg
@@ -159,59 +138,26 @@ impl DomainRuntime {
         );
         let downtime_budget = envelope.downtime_budget(cfg.envelope.attack_access_cycles);
 
+        let driver = WindowDriver::new(
+            engine,
+            anvil.sampling,
+            FaultRng::new(seed).fork(TRAFFIC_SITE),
+        );
         let victim = RowId::new(BankId(2), 501);
-        let aggressors = [
-            mapping.address_of(DramLocation {
-                bank: victim.bank,
-                row: victim.row - 1,
-                col: 0,
-            }),
-            mapping.address_of(DramLocation {
-                bank: victim.bank,
-                row: victim.row + 1,
-                col: 0,
-            }),
-        ];
+        let aggressors = driver.pair_around(victim);
 
-        let mut pmu = Pmu::new(anvil.sampling);
-        let sub = population.sub_envelope;
-        let (ladder, sup) = if sub {
+        let ladder = if population.sub_envelope {
             // The weakest cell flips inside the envelope's undetectable
             // budget: no detector configuration can promise protection,
             // so the domain runs unconditional blanket refresh forever.
-            (
-                DegradationLadder::pinned(
-                    ProtectionLevel::BlanketRefresh,
-                    LadderCause::SubEnvelopeDimm,
-                ),
-                None,
+            DegradationLadder::pinned(
+                ProtectionLevel::BlanketRefresh,
+                LadderCause::SubEnvelopeDimm,
             )
         } else {
-            // Co-resident domains get distinct backoff-jitter seeds so a
-            // correlated outage never restarts them in lockstep.
-            let runtime = anvil_runtime::RuntimeConfig {
-                jitter_seed: seed,
-                ..cfg.runtime
-            };
-            let mut sup = Supervisor::new(
-                anvil,
-                runtime,
-                clock,
-                cfg.envelope.refresh_period,
-                0,
-                &mut pmu,
-            );
-            sup.set_faults(Some(
-                LifecycleInjector::new(cfg.lifecycle, FaultRng::new(seed).fork(LIFECYCLE_SITE))
-                    .with_torn_writes(cfg.correlated.torn_write_rate),
-            ));
-            (
-                DegradationLadder::new(cfg.promote_base, cfg.promote_cap),
-                Some(sup),
-            )
+            DegradationLadder::new(cfg.promote_base, cfg.promote_cap)
         };
-
-        DomainRuntime {
+        let mut domain = DomainRuntime {
             id,
             channel,
             seed,
@@ -219,30 +165,21 @@ impl DomainRuntime {
             downtime_budget,
             anvil,
             ladder,
-            pmu,
-            sup,
-            traffic: FaultRng::new(seed).fork(TRAFFIC_SITE),
+            driver,
             aggressors,
             victim,
             evidence: 0,
-            last_serviced: 0,
             rebuilds: 0,
             quarantined: false,
             undeclared_flips: 0,
             exposure_flips: 0,
-            threshold_crossings: 0,
-            detections: 0,
-            selective_refreshes: 0,
             blanket_refreshes: 0,
-            acc_services: 0,
-            acc_crashes: 0,
-            acc_restarts: 0,
-            acc_cold_starts: 0,
-            acc_torn: 0,
-            acc_rejections: 0,
-            acc_worst_gap: 0,
-            acc_downtime: 0,
+            retired: RuntimeStats::default(),
+        };
+        if !domain.population.sub_envelope {
+            domain.boot_supervisor(cfg, clock);
         }
+        domain
     }
 
     pub(crate) fn level(&self) -> ProtectionLevel {
@@ -278,8 +215,8 @@ impl DomainRuntime {
     /// the next service goes through the real crash-recovery path.
     pub(crate) fn outage_ends(&mut self) {
         self.evidence = 0;
-        if let Some(sup) = self.sup.as_mut() {
-            sup.force_crash();
+        if self.driver.is_supervised() {
+            self.driver.supervisor_mut().force_crash();
         }
     }
 
@@ -346,17 +283,17 @@ impl DomainRuntime {
         hammer: &CrossDomainHammer,
         cfg: &FleetConfig,
         clock: CpuClock,
-        mapping: &AddressMapping,
     ) {
         match self.level() {
             ProtectionLevel::Quarantine => {
                 if let Some(t) = self.ladder.clean_window(w) {
                     debug_assert_eq!(t.to, ProtectionLevel::BlanketRefresh);
-                    self.rebuild_supervisor(cfg, clock);
+                    self.rebuilds += 1;
+                    self.boot_supervisor(cfg, clock);
                 }
                 return;
             }
-            ProtectionLevel::BlanketRefresh if self.sup.is_none() => {
+            ProtectionLevel::BlanketRefresh if !self.driver.is_supervised() => {
                 // Pinned sub-envelope DIMM: no detector, unconditional
                 // per-window blanket refresh.
                 if targeted {
@@ -375,101 +312,37 @@ impl DomainRuntime {
         } else {
             0
         };
-        let benign = 200 + self.traffic.below(2_801);
-        let sup = self.sup.as_mut().expect("active rungs keep a supervisor");
-        let deadline = sup.deadline();
-        let sampled = sup.detector().stage() == DetectorStage::Sampling;
-        if sampled {
-            let span = deadline
-                .saturating_sub(self.last_serviced)
-                .max(SAMPLED_OPS + 1);
-            for i in 0..SAMPLED_OPS {
-                let t = self.last_serviced + span * (i + 1) / (SAMPLED_OPS + 1);
-                let op = if !targeted || i % 16 == 15 {
-                    dram_read(self.traffic.below(1 << 30) & !63, BENIGN_PID)
-                } else {
-                    dram_read(self.aggressors[(i % 2) as usize], ATTACKER_PID)
-                };
-                self.pmu.observe_at(&op, t);
-            }
-            bulk_misses(
-                &mut self.pmu,
-                (paced + benign).saturating_sub(SAMPLED_OPS),
-                deadline.saturating_sub(1),
-            );
-        } else {
-            bulk_misses(&mut self.pmu, paced + benign, deadline.saturating_sub(1));
-        }
         self.evidence = self.evidence.saturating_add(paced);
-
-        let mut clean = true;
-        match sup.service(deadline, &mut self.pmu, mapping, &mut |_, v| Some(v)) {
-            Ok(SupervisedOutcome::Serviced {
-                outcome,
-                serviced_at,
-            }) => {
-                self.last_serviced = serviced_at;
-                match outcome {
-                    ServiceOutcome::Quiet { .. } => {}
-                    ServiceOutcome::Armed { .. } => self.threshold_crossings += 1,
-                    ServiceOutcome::Analyzed {
-                        report, refreshes, ..
-                    } => {
-                        if report.detected() {
-                            self.detections += 1;
-                        }
-                        self.selective_refreshes += refreshes.len() as u64;
-                        if refreshes.iter().any(|(row, _)| *row == self.victim) {
-                            self.evidence = 0;
-                        }
-                    }
-                    ServiceOutcome::Degraded {
-                        report,
-                        refreshes,
-                        banks,
-                        ..
-                    } => {
-                        if report.detected() {
-                            self.detections += 1;
-                        }
-                        self.selective_refreshes += refreshes.len() as u64;
-                        if refreshes.iter().any(|(row, _)| *row == self.victim)
-                            || banks.contains(&self.victim.bank)
-                        {
-                            self.evidence = 0;
-                        }
-                    }
-                }
+        let Ok(out) = self
+            .driver
+            .window(paced, targeted.then_some(self.aggressors))
+        else {
+            // Restart budget exhausted: the supervisor gave up.
+            self.retire_supervisor();
+            if self
+                .ladder
+                .demote(
+                    w,
+                    ProtectionLevel::Quarantine,
+                    LadderCause::RestartBudgetExhausted,
+                )
+                .is_some()
+            {
+                self.enter_quarantine();
             }
-            Ok(SupervisedOutcome::Restarted(recovery)) => {
-                clean = false;
-                self.last_serviced = recovery.resumed_at;
-                // The attacker bursts into the unobserved gap; the check
-                // runs before the recovery blanket refresh lands.
-                self.evidence = self
-                    .evidence
-                    .saturating_add(CrossDomainHammer::gap_activations(recovery.gap));
-                self.check_flip(self.level() != ProtectionLevel::Hardened);
-                self.evidence = 0;
-            }
-            Err(_) => {
-                // Restart budget exhausted: the supervisor gave up.
-                self.fold_sup_stats();
-                self.sup = None;
-                if self
-                    .ladder
-                    .demote(
-                        w,
-                        ProtectionLevel::Quarantine,
-                        LadderCause::RestartBudgetExhausted,
-                    )
-                    .is_some()
-                {
-                    self.enter_quarantine();
-                }
-                self.ladder.fault_window();
-                return;
-            }
+            self.ladder.fault_window();
+            return;
+        };
+        if let Some(gap) = out.restart_gap {
+            // The attacker bursts into the unobserved gap; the check runs
+            // before the recovery blanket refresh lands.
+            self.evidence = self
+                .evidence
+                .saturating_add(CrossDomainHammer::gap_activations(gap));
+            self.check_flip(self.level() != ProtectionLevel::Hardened);
+            self.evidence = 0;
+        } else if out.rewrites(self.victim) {
+            self.evidence = 0;
         }
 
         match self.level() {
@@ -490,7 +363,7 @@ impl DomainRuntime {
         // a flip, undeclared when the domain claimed full protection.
         self.check_flip(self.level() != ProtectionLevel::Hardened);
 
-        if clean {
+        if out.restart_gap.is_none() {
             self.ladder.clean_window(w);
         } else {
             self.ladder.fault_window();
@@ -514,57 +387,53 @@ impl DomainRuntime {
     /// domain accumulators and its state is discarded.
     fn enter_quarantine(&mut self) {
         self.quarantined = true;
-        self.fold_sup_stats();
-        self.sup = None;
+        self.retire_supervisor();
         self.evidence = 0;
     }
 
-    /// Cold-boots a fresh supervisor after a promotion out of
-    /// quarantine. The rebuilt instance draws its lifecycle faults from
-    /// a rebuild-indexed stream so the schedule does not replay.
-    fn rebuild_supervisor(&mut self, cfg: &FleetConfig, clock: CpuClock) {
-        self.rebuilds += 1;
+    /// Boots a supervised detector at the driver's last service time.
+    /// Co-resident domains get distinct backoff-jitter seeds so a
+    /// correlated outage never restarts them in lockstep; a supervisor
+    /// rebuilt after quarantine draws its lifecycle faults from a
+    /// rebuild-indexed stream so the schedule does not replay.
+    fn boot_supervisor(&mut self, cfg: &FleetConfig, clock: CpuClock) {
         let runtime = anvil_runtime::RuntimeConfig {
             jitter_seed: self.seed,
             ..cfg.runtime
         };
-        let mut sup = Supervisor::new(
+        let site = LIFECYCLE_SITE + REBUILD_STRIDE * self.rebuilds;
+        self.driver.boot(
             self.anvil,
             runtime,
             clock,
             cfg.envelope.refresh_period,
-            self.last_serviced,
-            &mut self.pmu,
+            Some(
+                LifecycleInjector::new(cfg.lifecycle, FaultRng::new(self.seed).fork(site))
+                    .with_torn_writes(cfg.correlated.torn_write_rate),
+            ),
         );
-        sup.set_faults(Some(
-            LifecycleInjector::new(
-                cfg.lifecycle,
-                FaultRng::new(self.seed).fork(LIFECYCLE_SITE + REBUILD_STRIDE * self.rebuilds),
-            )
-            .with_torn_writes(cfg.correlated.torn_write_rate),
-        ));
-        self.sup = Some(sup);
     }
 
-    /// Adds the live supervisor's counters into the domain accumulators.
-    fn fold_sup_stats(&mut self) {
-        if let Some(sup) = self.sup.as_ref() {
-            let s = sup.stats();
-            self.acc_services += s.services;
-            self.acc_crashes += s.crashes;
-            self.acc_restarts += s.restarts;
-            self.acc_cold_starts += s.cold_starts;
-            self.acc_torn += s.checkpoints_torn;
-            self.acc_rejections += s.checkpoint_rejections;
-            self.acc_worst_gap = self.acc_worst_gap.max(s.worst_recovery_gap);
-            self.acc_downtime += s.total_downtime;
+    /// Retires the live supervisor, folding the counters the summary
+    /// reports into [`Self::retired`].
+    fn retire_supervisor(&mut self) {
+        if let Some(s) = self.driver.retire() {
+            let acc = &mut self.retired;
+            acc.services += s.services;
+            acc.crashes += s.crashes;
+            acc.restarts += s.restarts;
+            acc.cold_starts += s.cold_starts;
+            acc.checkpoints_torn += s.checkpoints_torn;
+            acc.checkpoint_rejections += s.checkpoint_rejections;
+            acc.worst_recovery_gap = acc.worst_recovery_gap.max(s.worst_recovery_gap);
+            acc.total_downtime += s.total_downtime;
         }
     }
 
     /// Finalizes the domain into its serializable summary.
     pub(crate) fn finish(mut self) -> DomainSummary {
-        self.fold_sup_stats();
-        self.sup = None;
+        self.retire_supervisor();
+        let tally = self.driver.tally();
         DomainSummary {
             domain: self.id.0,
             channel: self.channel,
@@ -574,20 +443,20 @@ impl DomainRuntime {
             final_level: self.ladder.level().name().to_string(),
             undeclared_flips: self.undeclared_flips,
             exposure_flips: self.exposure_flips,
-            threshold_crossings: self.threshold_crossings,
-            detections: self.detections,
-            selective_refreshes: self.selective_refreshes,
+            threshold_crossings: tally.threshold_crossings,
+            detections: tally.detections,
+            selective_refreshes: tally.selective_refreshes,
             blanket_refreshes: self.blanket_refreshes,
-            services: self.acc_services,
-            crashes: self.acc_crashes,
-            restarts: self.acc_restarts,
-            cold_starts: self.acc_cold_starts,
-            checkpoints_torn: self.acc_torn,
-            checkpoint_rejections: self.acc_rejections,
-            worst_recovery_gap: self.acc_worst_gap,
-            total_downtime: self.acc_downtime,
+            services: self.retired.services,
+            crashes: self.retired.crashes,
+            restarts: self.retired.restarts,
+            cold_starts: self.retired.cold_starts,
+            checkpoints_torn: self.retired.checkpoints_torn,
+            checkpoint_rejections: self.retired.checkpoint_rejections,
+            worst_recovery_gap: self.retired.worst_recovery_gap,
+            total_downtime: self.retired.total_downtime,
             downtime_budget: self.downtime_budget,
-            within_budget: self.acc_worst_gap <= self.downtime_budget,
+            within_budget: self.retired.worst_recovery_gap <= self.downtime_budget,
             demotions: self.ladder.demotions(),
             promotions: self
                 .ladder
@@ -604,34 +473,9 @@ impl DomainRuntime {
     }
 }
 
-/// A DRAM-sourced read the PMU can sample (mirrors the soak engine's
-/// traffic model): identity-mapped, with a latency above the row-miss
-/// cutoff so it counts as activation evidence.
-fn dram_read(paddr: u64, pid: u32) -> RetiredOp {
-    RetiredOp {
-        vaddr: paddr,
-        pid,
-        outcome: AccessOutcome {
-            paddr,
-            kind: AccessKind::Read,
-            level: HitLevel::Memory,
-            advance: 184,
-            dram: None,
-        },
-    }
-}
-
-/// Bulk-charges `n` LLC-missing loads to both stage-1 counters at `t`.
-fn bulk_misses(pmu: &mut Pmu, n: u64, t: Cycle) {
-    pmu.counter_mut(EventKind::LongestLatCacheMiss).add(n, t);
-    pmu.counter_mut(EventKind::MemLoadUopsRetiredLlcMiss)
-        .add(n, t);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anvil_dram::DramGeometry;
 
     /// The thundering-herd fix: after a correlated outage kills every
     /// detector on a machine at once, the seeded backoff jitter must
@@ -640,23 +484,23 @@ mod tests {
     fn coresident_domains_restart_at_distinct_instants() {
         let cfg = FleetConfig::standard(1, 100, 0xF1EE7);
         let clock = CpuClock::SANDY_BRIDGE_2_6GHZ;
-        let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
         let mut gaps = Vec::new();
         for id in cfg.topology.iter() {
-            let mut d =
-                DomainRuntime::boot(&cfg, 0, id, cfg.topology.channel_of(id), clock, &mapping);
-            let Some(sup) = d.sup.as_mut() else {
+            let mut d = DomainRuntime::boot(
+                &cfg,
+                0,
+                id,
+                cfg.topology.channel_of(id),
+                clock,
+                Engine::default(),
+            );
+            if !d.driver.is_supervised() {
                 continue;
-            };
-            sup.force_crash();
-            let deadline = sup.deadline();
-            let out = sup
-                .service(deadline, &mut d.pmu, &mapping, &mut |_, v| Some(v))
-                .unwrap();
-            let SupervisedOutcome::Restarted(r) = out else {
-                panic!("forced crash must restart, got {out:?}");
-            };
-            gaps.push(r.gap);
+            }
+            d.driver.supervisor_mut().force_crash();
+            let out = d.driver.window(0, None).unwrap();
+            let gap = out.restart_gap.expect("a forced crash must restart");
+            gaps.push(gap);
         }
         assert!(gaps.len() >= 2, "need co-resident supervised domains");
         let distinct: std::collections::BTreeSet<_> = gaps.iter().collect();

@@ -45,6 +45,6 @@ mod risk;
 mod weakcells;
 
 pub use domain::DomainSummary;
-pub use machine::{run_machine, FleetConfig, MachineSummary};
+pub use machine::{run_machine, run_machine_with_engine, FleetConfig, MachineSummary};
 pub use risk::{FleetRisk, GapDistribution};
 pub use weakcells::{DimmPopulation, WeakCellDistribution};

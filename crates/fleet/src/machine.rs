@@ -3,10 +3,10 @@
 
 use anvil_adversary::CrossDomainHammer;
 use anvil_core::{AnvilConfig, EnvelopeParams};
-use anvil_dram::{AddressMapping, CpuClock, DramGeometry};
+use anvil_dram::CpuClock;
 use anvil_faults::{CorrelatedFaults, CorrelatedInjector, FaultRng, LifecycleFaults};
 use anvil_mem::DomainTopology;
-use anvil_runtime::RuntimeConfig;
+use anvil_runtime::{Engine, RuntimeConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::domain::{DomainRuntime, DomainSummary};
@@ -120,12 +120,17 @@ pub struct MachineSummary {
     pub domains: Vec<DomainSummary>,
 }
 
-/// Simulates one machine for `cfg.windows` detector windows.
-/// Deterministic in `(cfg, machine)`.
-#[allow(clippy::too_many_lines)]
+/// Simulates one machine for `cfg.windows` detector windows under the
+/// default (event-driven) engine. Deterministic in `(cfg, machine)`.
 pub fn run_machine(cfg: &FleetConfig, machine: u64) -> MachineSummary {
+    run_machine_with_engine(cfg, machine, Engine::default())
+}
+
+/// [`run_machine`] under an explicit [`Engine`]. The summary is
+/// engine-independent.
+#[allow(clippy::too_many_lines)]
+pub fn run_machine_with_engine(cfg: &FleetConfig, machine: u64, engine: Engine) -> MachineSummary {
     let clock = CpuClock::SANDY_BRIDGE_2_6GHZ;
-    let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
     let channels = cfg.topology.channels.max(1);
     let mut correlated = CorrelatedInjector::new(
         cfg.correlated,
@@ -137,16 +142,7 @@ pub fn run_machine(cfg: &FleetConfig, machine: u64) -> MachineSummary {
     let mut domains: Vec<DomainRuntime> = cfg
         .topology
         .iter()
-        .map(|id| {
-            DomainRuntime::boot(
-                cfg,
-                machine,
-                id,
-                cfg.topology.channel_of(id),
-                clock,
-                &mapping,
-            )
-        })
+        .map(|id| DomainRuntime::boot(cfg, machine, id, cfg.topology.channel_of(id), clock, engine))
         .collect();
 
     // Refresh epochs are tracked in fleet windows: ~10 windows cover one
@@ -248,7 +244,7 @@ pub fn run_machine(cfg: &FleetConfig, machine: u64) -> MachineSummary {
         let target = hammer.target_at(w, &eligible);
         for (i, d) in domains.iter_mut().enumerate() {
             d.observe_window();
-            d.window(w, target == Some(i), &hammer, cfg, clock, &mapping);
+            d.window(w, target == Some(i), &hammer, cfg, clock);
         }
     }
 

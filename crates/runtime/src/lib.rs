@@ -24,6 +24,9 @@
 //!   fleet domains: full hardened ANVIL → sample-survival → blanket bank
 //!   refresh → quarantine, with typed [`LadderTransition`] records and
 //!   exponential-backoff re-promotion once faults clear.
+//! * [`WindowDriver`] — one supervised stage-1 window of traffic,
+//!   serviced under the chosen [`Engine`]: the loop body every
+//!   window-granular campaign (soak, fleet, self-defense) shares.
 //! * [`soak`] — the long-horizon campaign engine: millions of supervised
 //!   windows of mixed benign and adversary traffic under a seeded
 //!   crash / stall / corruption / reload schedule, gated on zero flips
@@ -60,13 +63,15 @@
 //! assert!(matches!(outcome, SupervisedOutcome::Serviced { .. }));
 //! ```
 
+mod driver;
 mod ladder;
 pub mod soak;
 mod supervisor;
 
 pub use anvil_faults::LifecycleFaults;
+pub use driver::{Engine, WindowDriver, WindowOutcome, WindowTally};
 pub use ladder::{DegradationLadder, LadderCause, LadderTransition, ProtectionLevel};
-pub use soak::{Engine, SoakConfig, SoakSummary};
+pub use soak::{SoakConfig, SoakSummary};
 pub use supervisor::{
     install_quiet_panic_hook, RecoveryReport, RuntimeConfig, RuntimeStats, SupervisedOutcome,
     Supervisor,

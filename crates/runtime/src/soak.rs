@@ -2,16 +2,14 @@
 //! mixed benign and adversary traffic under a seeded crash / stall /
 //! corruption / hot-reload schedule.
 //!
-//! The engine is **window-granular**: instead of retiring every one of
-//! the billions of instructions a multi-hour run would need, it feeds
-//! each stage-1 window's miss total as bulk counter increments and only
-//! materializes individual [`RetiredOp`]s inside stage-2 (sampled)
-//! windows, where the PEBS engine actually inspects them. That keeps a
-//! two-million-window campaign (~3.5 simulated hours) inside a CI
+//! Each window runs through the shared [`WindowDriver`]: the soak
+//! supplies the paced adversary and its aggressor pair, queues the
+//! periodic hot reloads, and keeps its own flip accounting. That keeps
+//! a two-million-window campaign (~3.5 simulated hours) inside a CI
 //! budget while exercising the full supervised pipeline: stage-1 EWMA
 //! trips, stage-2 locality analysis, selective refresh, degraded-mode
-//! fallbacks, checkpoint writes, injected crashes with
-//! bounded-backoff restarts, and atomic hot reloads.
+//! fallbacks, checkpoint writes, injected crashes with bounded-backoff
+//! restarts, and atomic hot reloads.
 //!
 //! Flip accounting follows the [`GuaranteeEnvelope`] model: the
 //! adversary's activations on the victim's aggressor pair accumulate
@@ -23,63 +21,15 @@
 //! charged whenever accumulated evidence plus the gap burst reaches the
 //! flip threshold *before* the recovery refresh lands.
 
-use anvil_cache::HitLevel;
-use anvil_core::{AnvilConfig, EnvelopeParams, GuaranteeEnvelope, ServiceOutcome};
-use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramGeometry, DramLocation, RowId};
+use anvil_core::{AnvilConfig, EnvelopeParams, GuaranteeEnvelope};
+use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{FaultRng, LifecycleFaults, LifecycleInjector};
-use anvil_mem::{AccessKind, AccessOutcome};
-use anvil_pmu::{Pmu, RetiredOp};
 use serde::{Deserialize, Serialize};
 
-use crate::supervisor::{RuntimeConfig, SupervisedOutcome, Supervisor};
+use crate::driver::{Engine, WindowDriver};
+use crate::supervisor::RuntimeConfig;
 
 use anvil_adversary::RestartAwareHammer;
-
-/// Ops materialized per stage-2 window (the sampler keeps ~30 of them).
-const SAMPLED_OPS: u64 = 120;
-
-/// Attacker pid in the simulated traffic mix.
-const ATTACKER_PID: u32 = 7;
-/// Benign streaming pid.
-const BENIGN_PID: u32 = 3;
-
-/// Which simulation core drives a soak run.
-///
-/// Both engines produce **byte-identical** summaries (and campaign JSON)
-/// for any configuration — pinned by the `engines_agree_*` tests here and
-/// the cross-engine property test in `anvil-bench`. The per-op engine
-/// services every window through the full supervised machinery; the
-/// event-driven engine fast-forwards benign stretches through
-/// [`Supervisor::service_quiet`] and falls back to the per-op path at
-/// every "interesting" event (trip, stage-2 window, queued reload,
-/// non-pristine state). See `DESIGN.md` §16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Every window through [`Supervisor::service`] — the reference path.
-    PerOp,
-    /// Epoch-skipping fast path for quiet windows (the default).
-    #[default]
-    Event,
-}
-
-impl Engine {
-    /// Parses a CLI spelling (`per-op` or `event`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "per-op" => Some(Engine::PerOp),
-            "event" => Some(Engine::Event),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::PerOp => "per-op",
-            Engine::Event => "event",
-        }
-    }
-}
 
 /// One soak campaign's full parameterization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -216,23 +166,6 @@ impl SoakSummary {
     }
 }
 
-/// A DRAM-sourced read the PMU can sample: identity-mapped, with a
-/// latency above the row-miss cutoff so it counts as activation
-/// evidence.
-pub(crate) fn dram_read(paddr: u64, pid: u32) -> RetiredOp {
-    RetiredOp {
-        vaddr: paddr,
-        pid,
-        outcome: AccessOutcome {
-            paddr,
-            kind: AccessKind::Read,
-            level: HitLevel::Memory,
-            advance: 184,
-            dram: None,
-        },
-    }
-}
-
 /// Runs one soak campaign to completion under the default (event-driven)
 /// engine. Deterministic in `cfg`.
 pub fn run(cfg: &SoakConfig) -> SoakSummary {
@@ -241,40 +174,26 @@ pub fn run(cfg: &SoakConfig) -> SoakSummary {
 
 /// Runs one soak campaign under an explicit [`Engine`]. Deterministic in
 /// `(cfg, engine)` — and the summary itself is engine-independent.
-#[allow(clippy::too_many_lines)]
 pub fn run_with_engine(cfg: &SoakConfig, engine: Engine) -> SoakSummary {
     let clock = CpuClock::SANDY_BRIDGE_2_6GHZ;
-    let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
-    let mut pmu = Pmu::new(cfg.anvil.sampling);
-    let mut sup = Supervisor::new(
+    let mut driver = WindowDriver::new(engine, cfg.anvil.sampling, FaultRng::new(cfg.seed).fork(6));
+    driver.boot(
         cfg.anvil,
         cfg.runtime,
         clock,
         cfg.envelope.refresh_period,
-        0,
-        &mut pmu,
+        Some(LifecycleInjector::new(
+            cfg.lifecycle,
+            FaultRng::new(cfg.seed).fork(5),
+        )),
     );
-    sup.set_faults(Some(LifecycleInjector::new(
-        cfg.lifecycle,
-        FaultRng::new(cfg.seed).fork(5),
-    )));
-    let mut traffic = FaultRng::new(cfg.seed).fork(6);
 
     // The adversary double-side hammers one victim: aggressors on the
-    // rows either side, paced just under the stage-1 trip rate.
+    // rows either side, paced just under the stage-1 trip rate. The
+    // benign cell still materializes the pair's reads in stage-2
+    // windows, so both cells share one traffic shape.
     let victim = RowId::new(BankId(2), 501);
-    let aggressors = [
-        mapping.address_of(DramLocation {
-            bank: victim.bank,
-            row: victim.row - 1,
-            col: 0,
-        }),
-        mapping.address_of(DramLocation {
-            bank: victim.bank,
-            row: victim.row + 1,
-            col: 0,
-        }),
-    ];
+    let aggressors = driver.pair_around(victim);
     let paced = if cfg.adversary {
         cfg.anvil.llc_miss_threshold.saturating_sub(500)
     } else {
@@ -284,60 +203,29 @@ pub fn run_with_engine(cfg: &SoakConfig, engine: Engine) -> SoakSummary {
     let envelope = GuaranteeEnvelope::audit(&cfg.anvil, &clock, &cfg.envelope);
     let downtime_budget = envelope.downtime_budget(cfg.envelope.attack_access_cycles);
 
-    let mut summary = SoakSummary {
-        windows: 0,
-        simulated_ms: 0.0,
-        flips: 0,
-        threshold_crossings: 0,
-        stage2_windows: 0,
-        detections: 0,
-        selective_refreshes: 0,
-        degraded_windows: 0,
-        services: 0,
-        crashes: 0,
-        restarts: 0,
-        cold_starts: 0,
-        checkpoints_written: 0,
-        checkpoints_corrupted: 0,
-        checkpoint_rejections: 0,
-        reloads: 0,
-        reloads_deferred: 0,
-        stalled_services: 0,
-        worst_recovery_gap: 0,
-        total_downtime: 0,
-        downtime_budget,
-        within_budget: true,
-        restart_budget_exhausted: false,
-    };
-
     // Accumulated aggressor activations against the victim since its row
     // was last rewritten (auto-refresh, selective/blanket refresh, or
     // recovery refresh).
     let mut victim_evidence: u64 = 0;
     let mut refresh_epoch: u64 = 0;
-    let mut last_serviced: Cycle = 0;
     let mut reload_high = true;
-    let mut end: Cycle = 0;
+    let mut flips: u64 = 0;
+    let mut restart_budget_exhausted = false;
 
     for w in 0..cfg.windows {
-        let deadline = sup.deadline();
-
         // DRAM auto-refresh rewrites every row once per refresh period,
         // clearing whatever disturbance had accumulated.
-        let epoch = deadline / cfg.envelope.refresh_period.max(1);
+        let epoch = driver.supervisor().deadline() / cfg.envelope.refresh_period.max(1);
         if epoch != refresh_epoch {
             refresh_epoch = epoch;
             victim_evidence = 0;
         }
-
-        let benign = 200 + traffic.below(2_801);
-        let sampled = sup.detector().stage() == anvil_core::DetectorStage::Sampling;
         victim_evidence = victim_evidence.saturating_add(paced);
 
-        // Queue the reload before either engine services the window; the
-        // request consumes no fault or traffic draws, so its position
-        // relative to the traffic charge is unobservable.
+        // The request consumes no fault or traffic draws, so queueing it
+        // before the window's traffic is unobservable.
         if cfg.reload_every > 0 && w > 0 && w % cfg.reload_every == 0 {
+            let sup = driver.supervisor_mut();
             let mut next = *sup.config();
             reload_high = !reload_high;
             next.llc_miss_threshold = if reload_high { 20_000 } else { 19_000 };
@@ -345,132 +233,51 @@ pub fn run_with_engine(cfg: &SoakConfig, engine: Engine) -> SoakSummary {
                 .expect("soak reload configs are valid");
         }
 
-        let result = if engine == Engine::Event && !sampled {
-            // Quiet-window fast path: the window's miss total is known in
-            // closed form, and the unarmed stage-1 counters read the same
-            // whether or not the bulk charge lands (they are cleared by
-            // the read either way), so skip the counter traffic entirely.
-            if let Some(result) = sup.service_quiet(deadline, paced + benign, &mut pmu) {
-                result
-            } else {
-                // An interesting window (trip, queued reload, dirty
-                // state): replay it through the reference path.
-                bulk_misses(&mut pmu, paced + benign, deadline.saturating_sub(1));
-                sup.service(deadline, &mut pmu, &mapping, &mut |_, v| Some(v))
-            }
-        } else {
-            if sampled {
-                // Materialize a spread of ops for the PEBS engine: mostly
-                // the aggressor pair, a sprinkle of scattered benign reads.
-                let span = deadline.saturating_sub(last_serviced).max(SAMPLED_OPS + 1);
-                for i in 0..SAMPLED_OPS {
-                    let t = last_serviced + span * (i + 1) / (SAMPLED_OPS + 1);
-                    let op = if i % 16 == 15 {
-                        dram_read(traffic.below(1 << 30) & !63, BENIGN_PID)
-                    } else {
-                        dram_read(aggressors[(i % 2) as usize], ATTACKER_PID)
-                    };
-                    pmu.observe_at(&op, t);
-                }
-                bulk_misses(
-                    &mut pmu,
-                    (paced + benign).saturating_sub(SAMPLED_OPS),
-                    deadline.saturating_sub(1),
-                );
-            } else {
-                bulk_misses(&mut pmu, paced + benign, deadline.saturating_sub(1));
-            }
-            sup.service(deadline, &mut pmu, &mapping, &mut |_, v| Some(v))
+        let Ok(out) = driver.window(paced, Some(aggressors)) else {
+            restart_budget_exhausted = true;
+            break;
         };
-
-        match result {
-            Ok(SupervisedOutcome::Serviced {
-                outcome,
-                serviced_at,
-            }) => {
-                last_serviced = serviced_at;
-                match outcome {
-                    ServiceOutcome::Quiet { .. } => {}
-                    ServiceOutcome::Armed { .. } => {
-                        summary.threshold_crossings += 1;
-                    }
-                    ServiceOutcome::Analyzed {
-                        report, refreshes, ..
-                    } => {
-                        summary.stage2_windows += 1;
-                        if report.detected() {
-                            summary.detections += 1;
-                        }
-                        summary.selective_refreshes += refreshes.len() as u64;
-                        if refreshes.iter().any(|(row, _)| *row == victim) {
-                            victim_evidence = 0;
-                        }
-                    }
-                    ServiceOutcome::Degraded {
-                        report,
-                        refreshes,
-                        banks,
-                        ..
-                    } => {
-                        summary.stage2_windows += 1;
-                        summary.degraded_windows += 1;
-                        if report.detected() {
-                            summary.detections += 1;
-                        }
-                        summary.selective_refreshes += refreshes.len() as u64;
-                        if refreshes.iter().any(|(row, _)| *row == victim)
-                            || banks.contains(&victim.bank)
-                        {
-                            victim_evidence = 0;
-                        }
-                    }
-                }
+        if let Some(gap) = out.restart_gap {
+            // The restart-aware adversary hammers flat out into the
+            // unobserved gap; the flip check runs before the recovery
+            // protocol's blanket refresh rewrites the victim.
+            let burst = RestartAwareHammer::burst_activations(gap);
+            if victim_evidence.saturating_add(burst) >= cfg.envelope.flip_threshold {
+                flips += 1;
             }
-            Ok(SupervisedOutcome::Restarted(recovery)) => {
-                last_serviced = recovery.resumed_at;
-                // The restart-aware adversary hammers flat out into the
-                // unobserved gap; the flip check runs before the recovery
-                // protocol's blanket refresh rewrites the victim.
-                let burst = RestartAwareHammer::burst_activations(recovery.gap);
-                if victim_evidence.saturating_add(burst) >= cfg.envelope.flip_threshold {
-                    summary.flips += 1;
-                }
-                victim_evidence = 0;
-            }
-            Err(_) => {
-                summary.restart_budget_exhausted = true;
-                break;
-            }
+            victim_evidence = 0;
+        } else if out.rewrites(victim) {
+            victim_evidence = 0;
         }
-        summary.windows = w + 1;
-        end = last_serviced;
     }
 
-    let stats = sup.stats();
-    summary.simulated_ms = clock.cycles_to_ms(end);
-    summary.services = stats.services;
-    summary.crashes = stats.crashes;
-    summary.restarts = stats.restarts;
-    summary.cold_starts = stats.cold_starts;
-    summary.checkpoints_written = stats.checkpoints_written;
-    summary.checkpoints_corrupted = stats.checkpoints_corrupted;
-    summary.checkpoint_rejections = stats.checkpoint_rejections;
-    summary.reloads = stats.reloads;
-    summary.reloads_deferred = stats.reloads_deferred;
-    summary.stalled_services = stats.stalled_services;
-    summary.worst_recovery_gap = stats.worst_recovery_gap;
-    summary.total_downtime = stats.total_downtime;
-    summary.within_budget = stats.worst_recovery_gap <= downtime_budget;
-    summary
-}
-
-/// Bulk-charges `n` LLC-missing loads to both stage-1 counters at `t`.
-fn bulk_misses(pmu: &mut Pmu, n: u64, t: Cycle) {
-    pmu.observe_epoch(&anvil_pmu::EpochSummary {
-        llc_misses: n,
-        llc_miss_loads: n,
-        at: t,
-    });
+    let stats = driver.supervisor().stats();
+    let tally = driver.tally();
+    SoakSummary {
+        windows: driver.windows(),
+        simulated_ms: clock.cycles_to_ms(driver.last_serviced()),
+        flips,
+        threshold_crossings: tally.threshold_crossings,
+        stage2_windows: tally.stage2_windows,
+        detections: tally.detections,
+        selective_refreshes: tally.selective_refreshes,
+        degraded_windows: tally.degraded_windows,
+        services: stats.services,
+        crashes: stats.crashes,
+        restarts: stats.restarts,
+        cold_starts: stats.cold_starts,
+        checkpoints_written: stats.checkpoints_written,
+        checkpoints_corrupted: stats.checkpoints_corrupted,
+        checkpoint_rejections: stats.checkpoint_rejections,
+        reloads: stats.reloads,
+        reloads_deferred: stats.reloads_deferred,
+        stalled_services: stats.stalled_services,
+        worst_recovery_gap: stats.worst_recovery_gap,
+        total_downtime: stats.total_downtime,
+        downtime_budget,
+        within_budget: stats.worst_recovery_gap <= downtime_budget,
+        restart_budget_exhausted,
+    }
 }
 
 #[cfg(test)]
@@ -548,15 +355,6 @@ mod tests {
         let per_op = run_with_engine(&cfg, Engine::PerOp);
         let event = run_with_engine(&cfg, Engine::Event);
         assert_eq!(per_op, event);
-    }
-
-    #[test]
-    fn engine_cli_spellings_round_trip() {
-        for e in [Engine::PerOp, Engine::Event] {
-            assert_eq!(Engine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(Engine::parse("bogus"), None);
-        assert_eq!(Engine::default(), Engine::Event);
     }
 
     #[test]

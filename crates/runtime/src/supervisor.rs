@@ -1104,7 +1104,7 @@ mod tests {
         // reload must wait.
         let d = sup.deadline();
         for i in 0..25_000u64 {
-            pmu.observe_at(&crate::soak::dram_read(i * 64, 1), d - 1);
+            pmu.observe_at(&crate::driver::dram_read(i * 64, 1), d - 1);
         }
         sup.service(d, &mut pmu, &mapping, &mut |_, v| Some(v))
             .unwrap();

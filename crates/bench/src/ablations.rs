@@ -1,0 +1,551 @@
+//! Ablations and extensions of the detector's design choices: the
+//! bank-locality check, the sampling rate, the stage-1 threshold, the
+//! overhead decomposition, the victim radius, and the row-buffer policy.
+
+use crate::harness::{
+    detection_run, false_positive_rate, normalized_time_target, AttackKind, CampaignArgs,
+};
+use crate::registry::Report;
+use crate::report::Table;
+use anvil_attacks::{hammer_until_flip, Attack, AttackEnv, AttackOp, StandaloneHarness};
+use anvil_core::{AnvilConfig, Platform, PlatformConfig};
+use anvil_dram::{DisturbanceConfig, RowBufferPolicy};
+use anvil_mem::{AccessKind, AllocationPolicy, MemoryConfig};
+use anvil_workloads::SpecBenchmark;
+use serde_json::json;
+use std::fmt::Write as _;
+
+/// **Ablation** — the bank-locality check (Section 3.1).
+///
+/// The paper argues bank locality "can be used to differentiate between
+/// 'real' rowhammering and false positives that are caused by thrashing
+/// access patterns". This ablation disables the check
+/// (`bank_support_min = 0`) and compares false-positive rates and attack
+/// detection with the shipped configuration.
+pub fn ablation_bank_check(args: &CampaignArgs) -> Report {
+    let scale = args.scale();
+    let fp_ms = scale.ms(2_000.0).max(400.0);
+
+    let with_check = AnvilConfig::baseline();
+    let mut without_check = AnvilConfig::baseline();
+    without_check.bank_support_min = 0;
+
+    let mut table = Table::new(
+        "Ablation: bank-locality check (false-positive refreshes/sec)",
+        &["Benchmark", "with bank check", "without bank check"],
+    );
+    let mut records = Vec::new();
+    for bench in [
+        SpecBenchmark::Bzip2,
+        SpecBenchmark::Gcc,
+        SpecBenchmark::Mcf,
+        SpecBenchmark::Xalancbmk,
+        SpecBenchmark::Libquantum,
+    ] {
+        let with_rate = false_positive_rate(bench, with_check, fp_ms, 41);
+        let without_rate = false_positive_rate(bench, without_check, fp_ms, 41);
+        table.row(&[
+            bench.name().to_string(),
+            format!("{with_rate:.2}"),
+            format!("{without_rate:.2}"),
+        ]);
+        records.push(json!({
+            "benchmark": bench.name(),
+            "with_check": with_rate,
+            "without_check": without_rate,
+        }));
+        eprintln!(
+            "  [{}] with {:.2}, without {:.2}",
+            bench.name(),
+            with_rate,
+            without_rate
+        );
+    }
+    let mut text = table.render();
+
+    // Detection must be unaffected: the attack has inherent bank locality.
+    let with_det = detection_run(
+        AttackKind::DoubleSided,
+        with_check,
+        false,
+        scale.ms(100.0).max(60.0),
+        1,
+    );
+    let without_det = detection_run(
+        AttackKind::DoubleSided,
+        without_check,
+        false,
+        scale.ms(100.0).max(60.0),
+        1,
+    );
+    let _ = writeln!(
+        text,
+        "Attack detection: with check {:.1} ms, without {:.1} ms (flips {}/{}).",
+        with_det.detect_ms.unwrap_or(f64::NAN),
+        without_det.detect_ms.unwrap_or(f64::NAN),
+        with_det.flips,
+        without_det.flips,
+    );
+    text.push_str("Expected: the check lowers false positives and never hurts detection.\n");
+
+    Report::new(
+        text,
+        json!({
+            "experiment": "ablation_bank_check",
+            "rows": records,
+            "detect_with_ms": with_det.detect_ms,
+            "detect_without_ms": without_det.detect_ms,
+        }),
+    )
+}
+
+/// **Ablation** — PEBS sampling rate.
+///
+/// ANVIL samples at 5000/s (≈30 samples per 6 ms window). Fewer samples
+/// are cheaper but noisier (slower detection under load); more samples
+/// cost overhead. This sweep quantifies both sides.
+pub fn ablation_sampling(args: &CampaignArgs) -> Report {
+    let scale = args.scale();
+    let det_ms = scale.ms(250.0).max(120.0);
+    let target_ms = scale.ms(150.0).max(60.0);
+
+    let rates = [1_000u64, 2_500, 5_000, 10_000, 20_000];
+    let mut table = Table::new(
+        "Ablation: sampling rate (CLFLUSH-free detection under heavy load; mcf overhead)",
+        &["Samples/sec", "Detect (heavy) ms", "Flips", "mcf slowdown"],
+    );
+    let mut records = Vec::new();
+    for rate in rates {
+        let mut cfg = AnvilConfig::baseline();
+        cfg.sampling.interval = 2_600_000_000 / rate;
+        let det = detection_run(AttackKind::ClflushFree, cfg, true, det_ms, 7);
+        let slowdown = normalized_time_target(
+            SpecBenchmark::Mcf,
+            PlatformConfig::with_anvil(cfg),
+            target_ms,
+            7,
+        );
+        table.row(&[
+            rate.to_string(),
+            det.detect_ms.map_or("miss".into(), |d| format!("{d:.1}")),
+            det.flips.to_string(),
+            format!("{slowdown:.4}"),
+        ]);
+        records.push(json!({
+            "samples_per_sec": rate,
+            "detect_ms": det.detect_ms,
+            "flips": det.flips,
+            "mcf_slowdown": slowdown,
+        }));
+        eprintln!("  [{rate}/s] detect {:?}", det.detect_ms);
+    }
+
+    let mut text = table.render();
+    text.push_str(
+        "The paper's 5000/s sits at the knee: enough samples for one-window detection\n\
+         in the common case, at ~1% overhead for memory-bound programs.\n",
+    );
+    Report::rows("ablation_sampling", text, &records)
+}
+
+/// Fraction of stage-1 windows that crossed the threshold for `bench`.
+fn crossing_fraction(bench: SpecBenchmark, anvil: AnvilConfig, ms: f64) -> f64 {
+    let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
+    p.add_workload(bench.build(13)).expect("arena fits");
+    p.run_ms(ms).expect("run completes");
+    let s = p.detector_stats().expect("anvil loaded");
+    if s.stage1_windows == 0 {
+        0.0
+    } else {
+        s.threshold_crossings as f64 / s.stage1_windows as f64
+    }
+}
+
+/// **Ablation** — the stage-1 LLC-miss threshold.
+///
+/// The paper sets `LLC_MISS_THRESHOLD = 20K` per 6 ms from the minimum
+/// hammering rate that flips bits (Section 4.2: 220K accesses per 64 ms
+/// window → 20.6K per 6 ms). This ablation sweeps the threshold and shows
+/// the trade-off: lower thresholds arm the expensive sampling stage more
+/// often (overhead ↑), higher thresholds risk missing slow attacks.
+pub fn ablation_threshold(args: &CampaignArgs) -> Report {
+    let scale = args.scale();
+    let ms = scale.ms(400.0).max(150.0);
+    let target_ms = scale.ms(150.0).max(60.0);
+
+    let thresholds = [5_000u64, 10_000, 20_000, 40_000, 80_000];
+    let mut table = Table::new(
+        "Ablation: stage-1 miss threshold (mcf: crossings & slowdown; sjeng: crossings)",
+        &[
+            "Threshold",
+            "mcf windows crossed",
+            "mcf slowdown",
+            "sjeng windows crossed",
+        ],
+    );
+    let mut records = Vec::new();
+    for t in thresholds {
+        let mut cfg = AnvilConfig::baseline();
+        cfg.llc_miss_threshold = t;
+        // The guarantee-envelope gate rejects permissive thresholds: an
+        // attacker pacing just under them reaches the flip count without
+        // ever arming stage 2. Report the rejection instead of running a
+        // detector that is unsafe by construction.
+        if let Err(e) = cfg.validate() {
+            table.row(&[
+                format!("{}K", t / 1000),
+                "rejected (envelope)".into(),
+                "-".into(),
+                "-".into(),
+            ]);
+            records.push(json!({
+                "threshold": t,
+                "rejected": e.to_string(),
+            }));
+            eprintln!("  [threshold {t}] rejected: {e}");
+            continue;
+        }
+        let mcf_cross = crossing_fraction(SpecBenchmark::Mcf, cfg, ms);
+        let sjeng_cross = crossing_fraction(SpecBenchmark::Sjeng, cfg, ms);
+        let slowdown = normalized_time_target(
+            SpecBenchmark::Mcf,
+            PlatformConfig::with_anvil(cfg),
+            target_ms,
+            13,
+        );
+        table.row(&[
+            format!("{}K", t / 1000),
+            format!("{:.0}%", mcf_cross * 100.0),
+            format!("{slowdown:.4}"),
+            format!("{:.0}%", sjeng_cross * 100.0),
+        ]);
+        records.push(json!({
+            "threshold": t,
+            "mcf_crossing_fraction": mcf_cross,
+            "mcf_slowdown": slowdown,
+            "sjeng_crossing_fraction": sjeng_cross,
+        }));
+        eprintln!("  [threshold {t}] mcf {:.0}% crossed", mcf_cross * 100.0);
+    }
+
+    let mut text = table.render();
+    text.push_str(
+        "Paper (Section 4.3): memory-intensive benchmarks cross the 20K threshold in\n\
+         95-99% of windows; compute-bound ones in <10% — sampling cost tracks that.\n",
+    );
+    Report::rows("ablation_threshold", text, &records)
+}
+
+/// **Ablation** — where ANVIL's ~1% goes.
+///
+/// Decomposes the measured slowdown of each benchmark into the detector's
+/// cost components (PMIs, PEBS samples, stage-2 arming, analysis,
+/// selective-refresh reads), computed from the detector's own activity
+/// counters times the configured cycle costs, and checks the decomposition
+/// against the end-to-end measurement. Explains the paper's Section 4.3
+/// observation that "sampling of addresses in the second stage of the
+/// detection phase contributes to almost all of the performance overhead."
+pub fn overhead_breakdown(args: &CampaignArgs) -> Report {
+    let ms = args.scale().ms(400.0).max(150.0);
+
+    let mut table = Table::new(
+        "Ablation: ANVIL overhead decomposition (cycles per second of execution)",
+        &[
+            "Benchmark",
+            "samples",
+            "PMIs+arming",
+            "analysis",
+            "refreshes",
+            "total %",
+        ],
+    );
+    let mut records = Vec::new();
+
+    for bench in [
+        SpecBenchmark::Mcf,
+        SpecBenchmark::Libquantum,
+        SpecBenchmark::Bzip2,
+        SpecBenchmark::Gobmk,
+        SpecBenchmark::H264ref,
+    ] {
+        let anvil = AnvilConfig::baseline();
+        let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
+        let pid = p.add_workload(bench.build(31)).expect("arena fits");
+        p.run_ms(ms).expect("run completes");
+        let stats = *p.detector_stats().expect("anvil loaded");
+        let costs = anvil.costs;
+        let samples_cy = p.pmu().samples_taken() * costs.sample;
+        let pmi_cy = (stats.stage1_windows + stats.stage2_windows) * costs.pmi
+            + stats.threshold_crossings * costs.stage2_arm;
+        let analysis_cy = stats.stage2_windows * costs.analysis;
+        let refresh_cy = stats.selective_refreshes * costs.refresh_read;
+        let total_cy = samples_cy + pmi_cy + analysis_cy + refresh_cy;
+        let elapsed = p.core_stats(pid).expect("added").cycles;
+        let pct = 100.0 * total_cy as f64 / elapsed as f64;
+        let per_s = |cy: u64| format!("{:.0}K", cy as f64 / (elapsed as f64 / 2.6e9) / 1e3);
+        table.row(&[
+            bench.name().into(),
+            per_s(samples_cy),
+            per_s(pmi_cy),
+            per_s(analysis_cy),
+            per_s(refresh_cy),
+            format!("{pct:.2}%"),
+        ]);
+        records.push(json!({
+            "benchmark": bench.name(),
+            "samples_cycles": samples_cy,
+            "pmi_arm_cycles": pmi_cy,
+            "analysis_cycles": analysis_cy,
+            "refresh_cycles": refresh_cy,
+            "total_pct": pct,
+        }));
+        eprintln!("  [{}] {pct:.2}%", bench.name());
+    }
+    let mut text = table.render();
+    text.push_str(
+        "Sampling dominates for memory-bound benchmarks (the paper's Section 4.3\n\
+         finding); compute-bound ones pay only the 6 ms stage-1 heartbeat.\n",
+    );
+    Report::rows("overhead_breakdown", text, &records)
+}
+
+/// **Section 3.3 / 4.5** — Widening the victim radius for denser DRAM.
+///
+/// "Two potential victim rows are considered for each potential aggressor
+/// row: rows that are directly above and below each potential aggressor
+/// row (our approach easily extends to N adjacent rows)." On a future
+/// device that also disturbs at distance 2 (as later DDR4/LPDDR4 parts
+/// do), radius-1 refreshes leave the aggressor's +/-2 rows hammered. The
+/// single-sided attack is the separator: its lone aggressor disturbs
+/// +/-1 (covered by radius 1) *and* +/-2 (covered only by radius 2) —
+/// whereas a double-sided pair's +/-2 rows are already radius-1 neighbors
+/// of one of the aggressors. Same attack, same detector; sweep only
+/// `victim_radius`.
+pub fn victim_radius(args: &CampaignArgs) -> Report {
+    let run_ms = args.scale().ms(200.0).max(100.0);
+
+    let mut table = Table::new(
+        "Section 3.3: victim radius vs. distance-2 disturbance (future dense DRAM)",
+        &["DRAM reach", "victim_radius", "Detected", "Bit flips"],
+    );
+    let mut records = Vec::new();
+
+    for (reach_label, disturbance) in [
+        ("1 (paper's DDR3)", DisturbanceConfig::paper_ddr3()),
+        ("2 (future dense)", DisturbanceConfig::future_distance2()),
+    ] {
+        // Pick an aggressor whose distance-2 neighborhood contains a
+        // minimum-threshold row, so the radius difference is observable.
+        let mut chosen = 0;
+        for i in 0..24 {
+            let mut pc = PlatformConfig::unprotected();
+            pc.memory.dram.disturbance = disturbance;
+            let mut probe = Platform::new(pc);
+            let Ok(pid) = probe.add_attack(AttackKind::SingleSided.build(i)) else {
+                continue;
+            };
+            let (aggs, _) = probe.attack_truth(pid);
+            let dram = probe.sys().dram();
+            let vulnerable_at_2 = [-2i64, 2].iter().any(|&d| {
+                dram.mapping()
+                    .same_bank_row_offset(aggs[0], d)
+                    .is_some_and(|pa| {
+                        dram.is_vulnerable_row(dram.mapping().location_of(pa).row_id())
+                    })
+            });
+            if vulnerable_at_2 {
+                chosen = i;
+                break;
+            }
+        }
+        for radius in [1u32, 2] {
+            let mut anvil = AnvilConfig::baseline();
+            anvil.victim_radius = radius;
+            // Match the detector's rate assumption to the denser device;
+            // a lower flip threshold also forces a proportionally lower
+            // stage-1 trip point or the guarantee-envelope gate rejects
+            // the config (an attacker pacing under the old 20K could
+            // reach the denser device's flip count undetected).
+            anvil.min_hammer_accesses = disturbance.double_sided_threshold / 2;
+            anvil.llc_miss_threshold = (anvil.llc_miss_threshold
+                * disturbance.double_sided_threshold
+                / DisturbanceConfig::paper_ddr3().double_sided_threshold)
+                .max(1);
+            let mut pc = PlatformConfig::with_anvil(anvil);
+            pc.memory.dram.disturbance = disturbance;
+            let mut p = Platform::new(pc);
+            p.add_attack(AttackKind::SingleSided.build(chosen))
+                .expect("prepares");
+            p.run_ms(run_ms).expect("run completes");
+            table.row(&[
+                reach_label.into(),
+                radius.to_string(),
+                p.first_detection_ms()
+                    .map_or("no".into(), |t| format!("{t:.1} ms")),
+                p.total_flips().to_string(),
+            ]);
+            records.push(json!({
+                "dram_reach": reach_label,
+                "victim_radius": radius,
+                "detect_ms": p.first_detection_ms(),
+                "flips": p.total_flips(),
+            }));
+            eprintln!(
+                "  [{reach_label} / radius {radius}] flips {}",
+                p.total_flips()
+            );
+        }
+    }
+
+    let mut text = table.render();
+    text.push_str(
+        "Expected: radius 1 suffices on the paper's DDR3; on a distance-2 device the\n\
+         +/-2 rows keep charging between refreshes unless the radius widens to 2 —\n\
+         the knob the paper's parenthetical promises.\n",
+    );
+    Report::rows("victim_radius", text, &records)
+}
+
+/// The degenerate single-address hammer: one load + CLFLUSH, no conflict
+/// address at all. Useless on open-page DRAM, lethal on closed-page.
+#[derive(Debug, Default)]
+struct SingleAddressHammer {
+    va: Option<u64>,
+    pa: Option<u64>,
+    flush_next: bool,
+}
+
+impl Attack for SingleAddressHammer {
+    fn name(&self) -> &'static str {
+        "single-address-hammer"
+    }
+    fn prepare(&mut self, env: &mut AttackEnv<'_>) -> Result<(), anvil_attacks::AttackError> {
+        let va = env.process.mmap(1 << 20, env.frames)? + 4096;
+        self.va = Some(va);
+        self.pa = env.process.translate(va);
+        Ok(())
+    }
+    fn next_op(&mut self) -> AttackOp {
+        let va = self.va.expect("prepared");
+        self.flush_next = !self.flush_next;
+        if self.flush_next {
+            AttackOp::Access {
+                vaddr: va,
+                kind: AccessKind::Read,
+            }
+        } else {
+            AttackOp::Clflush { vaddr: va }
+        }
+    }
+    fn aggressor_paddrs(&self) -> Vec<u64> {
+        self.pa.into_iter().collect()
+    }
+    fn victim_paddrs(&self) -> Vec<u64> {
+        Vec::new()
+    }
+}
+
+/// **Extension** — row-buffer policy and the hammering attack surface.
+///
+/// The paper's bank-locality insight (Section 3.1) rests on the open-page
+/// row buffer: "a rowhammer attack involves repeatedly accessing at least
+/// two rows within the same bank — otherwise the row buffer would prevent
+/// the rowhammering." A *closed-page* controller (common in servers)
+/// precharges after every access, so that premise — and the minimum attack
+/// footprint — changes: a single-address loop becomes a hammer. This
+/// experiment measures both sides and checks ANVIL still detects the
+/// degenerate attack (its row-locality signal is even stronger).
+pub fn row_buffer_policy(_args: &CampaignArgs) -> Report {
+    let mut table = Table::new(
+        "Extension: row-buffer policy vs. the minimum hammer footprint",
+        &["Row-buffer policy", "Attack", "Bits flip?", "Notes"],
+    );
+    let mut records = Vec::new();
+
+    for policy in [RowBufferPolicy::OpenPage, RowBufferPolicy::ClosedPage] {
+        for single in [false, true] {
+            let mut cfg = MemoryConfig::paper_platform();
+            cfg.dram = cfg.dram.with_row_buffer(policy);
+            let mut h = StandaloneHarness::new(cfg, AllocationPolicy::Contiguous);
+            let (mut attack, label): (Box<dyn Attack>, &str) = if single {
+                (Box::new(SingleAddressHammer::default()), "single-address")
+            } else {
+                // Scan for a flippable victim as usual.
+                let mut best: Option<Box<dyn Attack>> = None;
+                for i in 0..16 {
+                    let mut probe = StandaloneHarness::new(cfg, AllocationPolicy::Contiguous);
+                    let mut a =
+                        Box::new(anvil_attacks::DoubleSidedClflush::new().with_pair_index(i));
+                    if probe.prepare(a.as_mut()).is_err() {
+                        continue;
+                    }
+                    let d = probe.sys.dram();
+                    if a.victim_paddrs()
+                        .iter()
+                        .any(|&v| d.is_vulnerable_row(d.mapping().location_of(v).row_id()))
+                    {
+                        best = Some(a);
+                        break;
+                    }
+                }
+                (best.expect("vulnerable pair"), "double-sided")
+            };
+            if h.prepare(attack.as_mut()).is_err() {
+                continue;
+            }
+            let r = hammer_until_flip(attack.as_mut(), &mut h, 900_000);
+            let policy_label = format!("{policy:?}");
+            table.row(&[
+                policy_label.clone(),
+                label.into(),
+                if r.flipped { "YES" } else { "no" }.into(),
+                if r.flipped {
+                    format!("{}K aggressor accesses", r.aggressor_accesses / 1000)
+                } else {
+                    "row buffer / refresh wins".into()
+                },
+            ]);
+            records.push(json!({
+                "policy": policy_label, "attack": label,
+                "flipped": r.flipped, "accesses": r.aggressor_accesses,
+            }));
+        }
+    }
+    let mut text = table.render();
+
+    // ANVIL vs the closed-page single-address hammer — first with the
+    // paper's configuration, then with the bank-locality filter disabled.
+    let run_anvil = |anvil: AnvilConfig| {
+        let mut pc = PlatformConfig::with_anvil(anvil);
+        pc.memory.dram = pc.memory.dram.with_row_buffer(RowBufferPolicy::ClosedPage);
+        let mut p = Platform::new(pc);
+        p.add_attack(Box::new(SingleAddressHammer::default()))
+            .expect("prepares");
+        p.run_ms(100.0).expect("run completes");
+        (p.first_detection_ms(), p.total_flips())
+    };
+    let (det_paper, flips_paper) = run_anvil(AnvilConfig::baseline());
+    let mut policy_aware = AnvilConfig::baseline();
+    policy_aware.bank_support_min = 0;
+    let (det_aware, flips_aware) = run_anvil(policy_aware);
+    let _ = writeln!(
+        text,
+        "ANVIL (paper config)  vs closed-page single-address hammer: detected {}, {} flips.",
+        det_paper.map_or("NEVER".into(), |t| format!("at {t:.1} ms")),
+        flips_paper
+    );
+    let _ = writeln!(
+        text,
+        "ANVIL (bank check off) vs the same attack:                  detected {}, {} flips.",
+        det_aware.map_or("NEVER".into(), |t| format!("at {t:.1} ms")),
+        flips_aware
+    );
+    text.push_str(
+        "FINDING: the paper's bank-locality filter encodes an *open-page* premise\n\
+         (\"otherwise the row buffer would prevent the rowhammering\", Section 3.1).\n\
+         On a closed-page controller a one-row attack is possible and slips past the\n\
+         filter; a policy-aware deployment must relax bank_support_min there — at the\n\
+         false-positive cost the bank-check ablation quantifies.\n",
+    );
+    Report::rows("row_buffer_policy", text, &records)
+}

@@ -1,13 +1,14 @@
-//! Campaign bodies shared by the `soak`, `resilience`, `evasion`,
-//! `verify`, and `detection_matrix` binaries.
+//! Campaign bodies behind the `resilience`, `evasion`, `verifier`,
+//! `detection_matrix`, `soak`, `fuzz`, `fleet` and `selfdefense` reports
+//! ([`robustness`](crate::robustness), [`paper`](crate::paper)).
 //!
 //! Each campaign is a matrix of *independent* scenario cells: every cell
 //! builds its own `Platform` from the campaign seed and shares no mutable
 //! state, so the cells fan out across worker threads via
 //! [`run_cells_checked`](crate::harness::run_cells_checked) while the collected results —
 //! and therefore the JSON record — stay byte-for-byte identical to a
-//! serial run. The binaries keep only argument parsing, table rendering,
-//! and exit codes; tests call these functions directly to prove
+//! serial run. The reports keep only campaign defaults, table rendering,
+//! and the gate; tests call these functions directly to prove
 //! thread-count independence.
 
 use crate::harness::{
@@ -53,7 +54,7 @@ fn split_cells<T>(results: Vec<Result<T, CellPanic>>) -> (Vec<T>, Vec<CellPanic>
 // Resilience
 // ---------------------------------------------------------------------------
 
-/// Everything the `resilience` binary needs: typed cells for the tables
+/// Everything the `resilience` report needs: typed cells for the tables
 /// and the exact JSON record for `results/resilience.json`.
 #[derive(Debug)]
 pub struct ResilienceOutcome {
@@ -70,7 +71,7 @@ pub struct ResilienceOutcome {
     pub json: Value,
 }
 
-/// Runs the fault-resilience campaign; see the `resilience` binary docs.
+/// Runs the fault-resilience campaign; see [`crate::robustness::resilience`].
 pub fn resilience(smoke: bool, run_ms: f64, seed: u64, threads: usize) -> ResilienceOutcome {
     let intensities: &[f64] = if smoke { &[1.0] } else { &[0.5, 1.0] };
     let attacks: Vec<AttackKind> = if smoke {
@@ -313,7 +314,7 @@ pub struct EvasionCell {
     pub outcome: &'static str,
 }
 
-/// Everything the `evasion` binary needs: typed cells plus the exact
+/// Everything the `evasion` report needs: typed cells plus the exact
 /// JSON record for `results/evasion.json`.
 #[derive(Debug)]
 pub struct EvasionOutcome {
@@ -332,7 +333,7 @@ pub struct EvasionOutcome {
     pub json: Value,
 }
 
-/// Runs the adaptive-adversary campaign; see the `evasion` binary docs.
+/// Runs the adaptive-adversary campaign; see [`crate::robustness::evasion`].
 #[allow(clippy::too_many_lines)]
 pub fn evasion(smoke: bool, run_ms: f64, seed: u64, threads: usize) -> EvasionOutcome {
     let strategies: Vec<Strategy> = if smoke {
@@ -467,7 +468,7 @@ pub fn evasion(smoke: bool, run_ms: f64, seed: u64, threads: usize) -> EvasionOu
         "baseline_losses": baseline_losses,
         "hardened_failures": hardened_failures,
         "demonstrated": demonstrated,
-        "cell_panics": panics.iter().map(serde_json::to_value).collect::<Vec<Value>>(),
+        "cell_panics": panics.iter().map(|p| serde_json::to_value(p)).collect::<Vec<Value>>(),
         "cells": cell_values,
     });
     EvasionOutcome {
@@ -519,7 +520,7 @@ pub struct VerifyCell {
     pub violation: bool,
 }
 
-/// Everything the `verify` binary needs: typed cells plus the exact
+/// Everything the `verifier` report needs: typed cells plus the exact
 /// JSON record for `results/verifier.json`.
 #[derive(Debug)]
 pub struct VerifyOutcome {
@@ -541,7 +542,7 @@ pub struct VerifyOutcome {
     pub json: Value,
 }
 
-/// Runs the symbolic verification campaign; see the `verify` binary docs.
+/// Runs the symbolic verification campaign; see [`crate::robustness::verifier`].
 #[allow(clippy::too_many_lines)]
 pub fn verify(smoke: bool, run_ms: f64, seed: u64, threads: usize) -> VerifyOutcome {
     let design = EnvelopeParams::paper_platform();
@@ -726,7 +727,7 @@ pub struct MatrixCell {
     pub in_scope: bool,
 }
 
-/// Everything the `detection_matrix` binary needs.
+/// Everything the `detection_matrix` report needs.
 #[derive(Debug)]
 pub struct DetectionMatrixOutcome {
     /// Cells in attack × config × load order.
@@ -737,8 +738,8 @@ pub struct DetectionMatrixOutcome {
     pub json: Value,
 }
 
-/// Runs the Section 4.2/4.5 detection matrix; see the `detection_matrix`
-/// binary docs.
+/// Runs the Section 4.2/4.5 detection matrix; see
+/// [`crate::paper::detection_matrix`].
 pub fn detection_matrix(run_ms: f64, threads: usize) -> DetectionMatrixOutcome {
     let configs: [(&'static str, AnvilConfig); 3] = [
         ("baseline", AnvilConfig::baseline()),
@@ -806,7 +807,7 @@ pub fn detection_matrix(run_ms: f64, threads: usize) -> DetectionMatrixOutcome {
 // Soak
 // ---------------------------------------------------------------------------
 
-/// Everything the `soak` binary needs.
+/// Everything the `soak` report needs.
 #[derive(Debug)]
 pub struct SoakOutcome {
     /// The campaign summary, or `None` when the soak cell itself
@@ -826,8 +827,8 @@ impl SoakOutcome {
     }
 }
 
-/// Runs the supervised-lifetime soak campaign under `engine`; see the
-/// `soak` binary docs.
+/// Runs the supervised-lifetime soak campaign under `engine`; see
+/// [`crate::robustness::soak`].
 ///
 /// The soak is one continuous supervised detector lifetime — its windows
 /// are causally chained (checkpoints, crash recovery, hot reloads), so
@@ -865,7 +866,7 @@ pub fn soak(
             "backoff_cap": cfg.runtime.backoff_cap,
         },
         "summary": serde_json::to_value(&s),
-        "cell_panics": panics.iter().map(serde_json::to_value).collect::<Vec<Value>>(),
+        "cell_panics": panics.iter().map(|p| serde_json::to_value(p)).collect::<Vec<Value>>(),
         "holds": panics.is_empty() && s.as_ref().is_some_and(SoakSummary::holds),
     });
     SoakOutcome {
@@ -879,7 +880,7 @@ pub fn soak(
 // Coverage-guided guarantee fuzzing
 // ---------------------------------------------------------------------------
 
-/// Everything the `fuzz` binary needs: the standard-domain and
+/// Everything the `fuzz` report needs: the standard-domain and
 /// weakened-canary campaign reports, the merge-gate verdicts, and the
 /// exact JSON record for `results/fuzz.json`.
 #[derive(Debug)]
@@ -900,7 +901,7 @@ pub struct FuzzOutcome {
     pub json: Value,
 }
 
-/// Runs both fuzz campaigns (see the `fuzz` binary docs), evaluating
+/// Runs both fuzz campaigns (see [`crate::robustness::fuzz`]), evaluating
 /// scenario batches on up to `threads` workers via
 /// [`run_cells_checked`] — a candidate that panics the simulator
 /// surfaces as a recorded cell failure, not a campaign abort. Candidate
@@ -990,7 +991,7 @@ pub fn fuzz(smoke: bool, seed: u64, threads: usize) -> FuzzOutcome {
 // Fleet
 // ---------------------------------------------------------------------------
 
-/// Everything the `fleet` binary needs: the Monte Carlo risk fold, the
+/// Everything the `fleet` report needs: the Monte Carlo risk fold, the
 /// per-machine summaries, and the exact JSON record for
 /// `results/fleet.json`.
 #[derive(Debug)]
@@ -1007,8 +1008,8 @@ pub struct FleetOutcome {
     pub json: Value,
 }
 
-/// Runs the fleet-scale Monte Carlo campaign; see the `fleet` binary
-/// docs. One machine is one pure cell of `(cfg, machine_index)`:
+/// Runs the fleet-scale Monte Carlo campaign; see
+/// [`crate::robustness::fleet`]. One machine is one pure cell of `(cfg, machine_index)`:
 /// [`run_machine_with_engine`] fans across up to `threads` workers via
 /// [`run_cells_checked`] and the summaries fold into [`FleetRisk`] in
 /// submission order, so the record is byte-for-byte identical at any
@@ -1039,7 +1040,7 @@ pub fn fleet(cfg: &FleetConfig, smoke: bool, threads: usize, engine: Engine) -> 
         "smoke": smoke,
         "config": serde_json::to_value(cfg),
         "risk": serde_json::to_value(&risk),
-        "cell_panics": panics.iter().map(serde_json::to_value).collect::<Vec<Value>>(),
+        "cell_panics": panics.iter().map(|p| serde_json::to_value(p)).collect::<Vec<Value>>(),
         "machines": machine_values,
         "holds": risk.holds(),
     });
@@ -1141,7 +1142,7 @@ impl SelfDefenseVerdict {
     }
 }
 
-/// Everything the `selfdefense` binary needs: per-arm cells, the
+/// Everything the `selfdefense` report needs: per-arm cells, the
 /// aggregate verdict, and the exact JSON record for
 /// `results/selfdefense.json`.
 #[derive(Debug)]

@@ -1,30 +1,25 @@
-//! Shared experiment procedures used by the table/figure binaries.
+//! Shared experiment procedures used by the table/figure campaigns.
 
-use anvil_attacks::{Attack, ClflushFreeDoubleSided, DoubleSidedClflush, SingleSidedClflush};
+use anvil_attacks::{
+    hammer_until_flip, Attack, ClflushFreeDoubleSided, DoubleSidedClflush, SingleSidedClflush,
+    StandaloneHarness,
+};
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
 use anvil_faults::FaultScenario;
-use anvil_mem::MemoryConfig;
+use anvil_mem::{AllocationPolicy, MemoryConfig};
 use anvil_runtime::Engine;
 use anvil_workloads::SpecBenchmark;
 use serde::Serialize;
 
-/// Time scaling for the experiment binaries: `--quick` on the command line
-/// trades precision for speed.
+/// Time scaling for the experiment campaigns: `--quick` on the command
+/// line trades precision for speed (see [`CampaignArgs::scale`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     factor: f64,
 }
 
 impl Scale {
-    /// Parses the process arguments (`--quick` recognized).
-    pub fn from_args() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick");
-        Scale {
-            factor: if quick { 0.35 } else { 1.0 },
-        }
-    }
-
-    /// A fixed scale, for tests.
+    /// A fixed scale.
     pub fn fixed(factor: f64) -> Self {
         Scale { factor }
     }
@@ -40,16 +35,17 @@ impl Scale {
     }
 }
 
-/// The command-line arguments shared by the campaign binaries (`soak`,
-/// `resilience`, `evasion`, `detection_matrix`), parsed once instead of
-/// each binary re-scanning `std::env::args()` ad hoc.
+/// The command-line arguments shared by every campaign of the
+/// `anvil-bench` entry point, parsed once instead of each campaign
+/// re-scanning `std::env::args()` ad hoc.
 ///
 /// Recognized flags: `--quick`, `--smoke`, `--windows N`, `--seed N`,
 /// `--machines N`, `--domains N`, `--threads N`,
-/// `--engine per-op|event`. Unknown arguments are ignored (forward
-/// compatibility with binary-specific flags). Malformed or out-of-range
-/// values warn on stderr, naming the bad value, and fall back to the
-/// default.
+/// `--engine per-op|event`. Any other argument is an
+/// [`UnknownArgument`] error, so a typo such as `--thread 2` fails
+/// loudly instead of silently running at the default. Malformed or
+/// out-of-range values of a known flag warn on stderr, naming the bad
+/// value, and fall back to the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignArgs {
     /// `--quick`: trade precision for speed (see [`Scale`]).
@@ -62,10 +58,10 @@ pub struct CampaignArgs {
     /// `--seed N`: campaign seed override (`None`: campaign default).
     pub seed: Option<u64>,
     /// `--machines N`: fleet machine count override, `1..=4096`
-    /// (`None`: campaign default). Only the `fleet` binary reads it.
+    /// (`None`: campaign default). Only the `fleet` campaign reads it.
     pub machines: Option<u64>,
     /// `--domains N`: per-machine protection-domain count override,
-    /// `1..=64` (`None`: campaign default). Only the `fleet` binary
+    /// `1..=64` (`None`: campaign default). Only the `fleet` campaign
     /// reads it.
     pub domains: Option<u64>,
     /// `--threads N`: worker threads for [`run_cells_checked`]. Defaults to the
@@ -75,95 +71,85 @@ pub struct CampaignArgs {
     pub threads: usize,
     /// `--engine per-op|event`: which simulation core drives
     /// window-granular campaigns (default: `event`). Campaign output is
-    /// byte-for-byte independent of the engine — the flag exists so CI can
-    /// prove it by diffing both — and is therefore never serialized into
-    /// result records.
+    /// byte-for-byte independent of the engine — the flag exists so the
+    /// records gate can prove it by regenerating under both — and is
+    /// therefore never serialized into result records.
     pub engine: Engine,
 }
 
-impl CampaignArgs {
-    /// Parses the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
+/// A command-line argument that is not one of [`CampaignArgs`]' flags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownArgument(pub String);
 
-    /// Parses an explicit argument list (exposed for tests).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let args: Vec<String> = args.into_iter().collect();
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .map(|i| args.get(i + 1).cloned().unwrap_or_default())
+impl std::fmt::Display for UnknownArgument {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown argument `{}`", self.0)
+    }
+}
+
+impl std::error::Error for UnknownArgument {}
+
+/// Parses a flag's integer value within `lo..=hi`. A malformed or
+/// out-of-range value warns on stderr, naming it, and yields `None` so
+/// the default applies; a fat-fingered `--machines 48000` must not
+/// silently launch a campaign three orders of magnitude too large.
+fn bounded(flag: &str, raw: &str, lo: u64, hi: u64) -> Option<u64> {
+    let n = raw.parse().ok().filter(|n| (lo..=hi).contains(n));
+    if n.is_none() {
+        let range = if hi == u64::MAX {
+            format!("at least {lo}")
+        } else {
+            format!("in {lo}..={hi}")
         };
-        let windows = value_of("--windows").and_then(|raw| match raw.parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!(
-                    "warning: ignoring `--windows {raw}`: expected a positive integer, \
-                     using the campaign default"
-                );
-                None
+        eprintln!(
+            "warning: ignoring `{flag} {raw}`: expected an integer {range}, using the default"
+        );
+    }
+    n
+}
+
+impl CampaignArgs {
+    /// Parses an argument list (the process arguments after the campaign
+    /// name).
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, UnknownArgument> {
+        let mut parsed = CampaignArgs {
+            quick: false,
+            smoke: false,
+            windows: None,
+            seed: None,
+            machines: None,
+            domains: None,
+            threads: default_threads(),
+            engine: Engine::default(),
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().unwrap_or_default();
+            match flag.as_str() {
+                "--quick" => parsed.quick = true,
+                "--smoke" => parsed.smoke = true,
+                "--windows" => parsed.windows = bounded(&flag, &value(), 1, u64::MAX),
+                "--seed" => parsed.seed = bounded(&flag, &value(), 0, u64::MAX),
+                "--machines" => parsed.machines = bounded(&flag, &value(), 1, 4_096),
+                "--domains" => parsed.domains = bounded(&flag, &value(), 1, 64),
+                "--threads" => {
+                    parsed.threads = bounded(&flag, &value(), 1, u64::MAX)
+                        .map_or_else(default_threads, |n| n as usize);
+                }
+                "--engine" => {
+                    let raw = value();
+                    parsed.engine = Engine::parse(&raw).unwrap_or_else(|| {
+                        eprintln!(
+                            "warning: ignoring `--engine {raw}`: expected `per-op` or \
+                             `event`, using the default (event)"
+                        );
+                        Engine::default()
+                    });
+                }
+                _ => return Err(UnknownArgument(flag)),
             }
-        });
-        let seed = value_of("--seed").and_then(|raw| {
-            raw.parse::<u64>().map_or_else(
-                |_| {
-                    eprintln!(
-                        "warning: ignoring `--seed {raw}`: expected an unsigned integer, \
-                         using the campaign default"
-                    );
-                    None
-                },
-                Some,
-            )
-        });
-        // Bounded counts parse with an explicit range so a fat-fingered
-        // `--machines 48000` warns instead of silently launching a
-        // campaign three orders of magnitude larger than intended.
-        let bounded = |flag: &'static str, lo: u64, hi: u64| {
-            value_of(flag).and_then(|raw| match raw.parse::<u64>() {
-                Ok(n) if (lo..=hi).contains(&n) => Some(n),
-                _ => {
-                    eprintln!(
-                        "warning: ignoring `{flag} {raw}`: expected an integer in \
-                         {lo}..={hi}, using the campaign default"
-                    );
-                    None
-                }
-            })
-        };
-        let machines = bounded("--machines", 1, 4_096);
-        let domains = bounded("--domains", 1, 64);
-        let threads =
-            value_of("--threads").map_or_else(default_threads, |raw| match raw.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!(
-                        "warning: ignoring `--threads {raw}`: expected a positive integer, \
-                         using available parallelism"
-                    );
-                    default_threads()
-                }
-            });
-        let engine = value_of("--engine").map_or(Engine::default(), |raw| {
-            Engine::parse(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: ignoring `--engine {raw}`: expected `per-op` or `event`, \
-                     using the default (event)"
-                );
-                Engine::default()
-            })
-        });
-        CampaignArgs {
-            quick: args.iter().any(|a| a == "--quick"),
-            smoke: args.iter().any(|a| a == "--smoke"),
-            windows,
-            seed,
-            machines,
-            domains,
-            threads,
-            engine,
         }
+        Ok(parsed)
     }
 
     /// The campaign seed: the `--seed` override or `default`.
@@ -204,7 +190,9 @@ impl std::fmt::Display for CellPanic {
 
 impl std::error::Error for CellPanic {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a panic payload: its message when it is a string (the
+/// overwhelmingly common case: `panic!`, `assert!`, `expect`).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -241,7 +229,7 @@ where
     let guarded = |i: usize, f: F| {
         catch_unwind(AssertUnwindSafe(f)).map_err(|payload| CellPanic {
             index: i,
-            message: panic_message(payload),
+            message: panic_message(payload.as_ref()),
         })
     };
     let n = cells.len();
@@ -353,6 +341,32 @@ pub fn vulnerable_pair_index(kind: AttackKind, memory: MemoryConfig, max: usize)
         }
     }
     None
+}
+
+/// The module minimum for `kind` on `config`: hammers each of the first
+/// `candidates` aggressor pairs for up to `budget` aggressor accesses and
+/// returns the fewest accesses to a first flip, with that flip's time in
+/// ms (`None`: no candidate flipped).
+pub(crate) fn fastest_flip(
+    kind: AttackKind,
+    config: &MemoryConfig,
+    candidates: usize,
+    budget: u64,
+) -> Option<(u64, f64)> {
+    let mut best: Option<(u64, f64)> = None;
+    for pair in 0..candidates {
+        let mut harness = StandaloneHarness::new(*config, AllocationPolicy::Contiguous);
+        let mut attack = kind.build(pair);
+        if harness.prepare(attack.as_mut()).is_err() {
+            continue;
+        }
+        let r = hammer_until_flip(attack.as_mut(), &mut harness, budget);
+        if r.flipped && best.is_none_or(|(a, _)| r.aggressor_accesses < a) {
+            let ms = r.time_to_first_flip_ms(&config.clock).expect("flipped");
+            best = Some((r.aggressor_accesses, ms));
+        }
+    }
+    best
 }
 
 /// Result of one detection experiment (a Table 3 cell).
@@ -479,6 +493,28 @@ pub struct ResilienceSummary {
     pub protected: bool,
 }
 
+impl ResilienceSummary {
+    /// Summarizes a finished fault-campaign run on `p`.
+    fn of(p: &Platform, scenario: FaultScenario, attack: String, intensity: f64) -> Self {
+        let stats = *p.detector_stats().expect("anvil loaded");
+        let detect_ms = p.first_detection_ms();
+        let flips = p.total_flips();
+        ResilienceSummary {
+            scenario: scenario.name().to_string(),
+            attack,
+            intensity,
+            detect_ms,
+            flips,
+            degraded_windows: stats.degraded_windows,
+            bank_refreshes: stats.bank_refreshes,
+            missed_deadlines: stats.missed_deadlines,
+            samples_lost: stats.samples_lost,
+            samples_unresolved: stats.samples_unresolved,
+            protected: flips == 0 && (detect_ms.is_some() || stats.degraded_windows > 0),
+        }
+    }
+}
+
 /// Runs one attack under ANVIL with `scenario` injected at `intensity`,
 /// and summarizes protection and degraded-mode engagement.
 pub fn resilience_run(
@@ -495,22 +531,7 @@ pub fn resilience_run(
     p.add_attack(kind.build(pair))
         .expect("attack prepares on open platform");
     p.run_ms(ms).expect("run completes");
-    let stats = *p.detector_stats().expect("anvil loaded");
-    let detect_ms = p.first_detection_ms();
-    let flips = p.total_flips();
-    ResilienceSummary {
-        scenario: scenario.name().to_string(),
-        attack: kind.label().to_string(),
-        intensity,
-        detect_ms,
-        flips,
-        degraded_windows: stats.degraded_windows,
-        bank_refreshes: stats.bank_refreshes,
-        missed_deadlines: stats.missed_deadlines,
-        samples_lost: stats.samples_lost,
-        samples_unresolved: stats.samples_unresolved,
-        protected: flips == 0 && (detect_ms.is_some() || stats.degraded_windows > 0),
-    }
+    ResilienceSummary::of(&p, scenario, kind.label().to_string(), intensity)
 }
 
 /// Runs a prebuilt adaptive adversary (from `anvil-adversary`) under
@@ -536,22 +557,7 @@ pub fn evasion_resilience_run(
     p.add_attack(attack)
         .expect("attack prepares on open platform");
     p.run_ms(ms).expect("run completes");
-    let stats = *p.detector_stats().expect("anvil loaded");
-    let detect_ms = p.first_detection_ms();
-    let flips = p.total_flips();
-    ResilienceSummary {
-        scenario: scenario.name().to_string(),
-        attack: name,
-        intensity,
-        detect_ms,
-        flips,
-        degraded_windows: stats.degraded_windows,
-        bank_refreshes: stats.bank_refreshes,
-        missed_deadlines: stats.missed_deadlines,
-        samples_lost: stats.samples_lost,
-        samples_unresolved: stats.samples_unresolved,
-        protected: flips == 0 && (detect_ms.is_some() || stats.degraded_windows > 0),
-    }
+    ResilienceSummary::of(&p, scenario, name, intensity)
 }
 
 #[cfg(test)]

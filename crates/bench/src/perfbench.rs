@@ -4,59 +4,50 @@
 //! Times each optimized hot-path layer (cache access, DRAM
 //! activate+disturb, the epoch-skipping closed forms, platform step,
 //! full detector window) and the end-to-end soak workload — serial and
-//! fanned through [`anvil_bench::run_cells_checked`] — then writes
-//! `results/BENCH_hotpath.json` so later PRs can compare against this
-//! PR's numbers instead of re-deriving them.
+//! fanned through [`run_cells_checked`] — for
+//! `results/BENCH_hotpath.json`. The headline is the benign-dominated
+//! soak cell under the event engine, where the epoch-skipping fast path
+//! carries the loop; the adversary-paced cell, where 40%+ of windows trip
+//! stage 1, is recorded alongside it so regressions in either regime are
+//! visible.
 //!
-//! The end-to-end headline is the **benign-dominated soak cell** under
-//! the event-driven engine: no adversary pacing, so nearly every window
-//! is quiet and the epoch-skipping fast path carries the loop. The
-//! adversary-paced cell (the previous headline protocol) is recorded
-//! alongside it — epoch skipping cannot help when 40%+ of windows trip
-//! stage-1, and the record keeps both so regressions in either regime
-//! are visible.
-//!
-//! Unlike the campaign records, this file is a *measurement* — it varies
+//! Unlike the campaign records, this file is a *measurement*: it varies
 //! with the machine and is regenerated, not byte-compared. Each run
-//! appends an entry to the `trajectory` array (carried over from the
-//! previously committed file), stamped with `--git-sha <sha>` and
-//! `--stamp <date>` when provided. The binary exits non-zero when the
-//! headline serial throughput falls below the absolute floor
-//! ([`FLOOR_WINDOWS_PER_SEC`]) **or** below [`REGRESSION_FRACTION`] of
-//! the last committed trajectory entry, which is what the CI
-//! `bench-smoke` job gates on: the relative gate catches a real
-//! regression against the committed history while the generous fraction
-//! absorbs machine-to-machine variance.
+//! appends an entry, stamped with `--git-sha <sha>` and `--stamp <date>`
+//! when given, to the committed `trajectory` array. The gate fails below
+//! the absolute floor (`FLOOR_WINDOWS_PER_SEC`) or below
+//! `REGRESSION_FRACTION` of the last committed entry (DESIGN.md §11).
 //!
 //! ```bash
-//! cargo run --release -p anvil-bench --bin perfbench             # full
-//! cargo run --release -p anvil-bench --bin perfbench -- --quick  # CI
-//! cargo run --release -p anvil-bench --bin perfbench -- \
+//! cargo run --release -p anvil-bench -- perfbench --quick
+//! cargo run --release -p anvil-bench -- perfbench \
 //!     --git-sha "$(git rev-parse --short HEAD)" --stamp 2026-08-08
 //! ```
 
-use anvil_bench::{run_cells_checked, write_json, CampaignArgs};
+use crate::harness::{run_cells_checked, CampaignArgs};
+use crate::registry::Report;
 use anvil_cache::{CacheHierarchy, HierarchyConfig};
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
 use anvil_dram::{
     BankId, DisturbanceConfig, DisturbanceTracker, DramConfig, DramModule, DramTiming,
     RefreshSchedule, RowId,
 };
-use anvil_runtime::{install_quiet_panic_hook, soak, Engine, SoakConfig, SoakSummary};
+use anvil_runtime::{soak, Engine, SoakConfig, SoakSummary};
 use anvil_workloads::SpecBenchmark;
 use serde_json::json;
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Headline serial throughput floor (windows/sec) below which the binary
-/// exits non-zero. The benign-dominated cell runs in the millions of
+/// Headline serial throughput floor (windows/sec) below which the
+/// command exits non-zero. The benign-dominated cell runs in the millions of
 /// windows/sec, so this absolute floor only trips on a catastrophic
 /// (100x-plus) regression, not on a slow CI machine.
 const FLOOR_WINDOWS_PER_SEC: f64 = 10_000.0;
 
-/// The committed per-op serial baseline this PR was measured against:
-/// `results/BENCH_hotpath.json` recorded 364,633 windows/sec for the
-/// per-op engine immediately before the event-driven core landed. The
+/// The committed per-op serial baseline: `results/BENCH_hotpath.json`
+/// recorded 364,633 windows/sec for the per-op engine immediately before
+/// the event-driven core landed. The
 /// acceptance target for the epoch-skipping engine is 10x this number
 /// on the benign-dominated cell.
 const BASELINE_SERIAL_WINDOWS_PER_SEC: f64 = 364_633.2;
@@ -149,17 +140,6 @@ fn soak_windows_per_sec(
     total as f64 / elapsed
 }
 
-/// Looks up the value following `flag` in the raw argument list (the
-/// trajectory stamps are perfbench-local and not part of
-/// [`CampaignArgs`]).
-fn raw_arg(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// Loads the `trajectory` array from the previously committed
 /// `results/BENCH_hotpath.json`, if any — the new run appends to it.
 fn committed_trajectory() -> Vec<serde_json::Value> {
@@ -171,12 +151,12 @@ fn committed_trajectory() -> Vec<serde_json::Value> {
         .unwrap_or_default()
 }
 
-fn main() {
-    install_quiet_panic_hook();
-    let args = CampaignArgs::from_env();
+/// Measures every layer and the end-to-end soak cells, and returns the
+/// `results/BENCH_hotpath.json` record with the trajectory entry for this
+/// run (stamped with `git_sha` and `stamp`) appended. The gate fails on
+/// the absolute floor or the relative regression bound.
+pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
     let budget_ms = if args.quick { 60.0 } else { 300.0 };
-    let git_sha = raw_arg("--git-sha").unwrap_or_else(|| "unknown".into());
-    let stamp = raw_arg("--stamp").unwrap_or_else(|| "unstamped".into());
 
     eprintln!("perfbench: per-layer timings ({budget_ms:.0} ms budget per layer)");
 
@@ -317,9 +297,7 @@ fn main() {
         "parallel_windows_per_sec": round1(parallel),
     }));
 
-    write_json(
-        "BENCH_hotpath",
-        &json!({
+    let record = json!({
             "experiment": "perf_hotpath",
             "quick": args.quick,
             "threads": args.threads,
@@ -356,28 +334,35 @@ fn main() {
                 "regression_fraction": REGRESSION_FRACTION,
             },
             "trajectory": trajectory,
-        }),
-    );
-    if serial < FLOOR_WINDOWS_PER_SEC {
-        eprintln!(
+    });
+    let mut text = String::new();
+    let mut holds = serial >= FLOOR_WINDOWS_PER_SEC;
+    if !holds {
+        let _ = writeln!(
+            text,
             "perfbench: FAIL — serial soak {serial:.0} windows/s is below the \
              {FLOOR_WINDOWS_PER_SEC:.0} windows/s floor"
         );
-        std::process::exit(1);
-    }
-    if let Some(prior) = prior_headline {
+    } else if let Some(prior) = prior_headline {
         let gate = prior * REGRESSION_FRACTION;
-        if serial < gate {
-            eprintln!(
+        holds = serial >= gate;
+        if holds {
+            let _ = writeln!(
+                text,
+                "perfbench: trajectory gate OK ({serial:.0} >= {gate:.0} windows/s, \
+                 last committed {prior:.0})"
+            );
+        } else {
+            let _ = writeln!(
+                text,
                 "perfbench: FAIL — serial soak {serial:.0} windows/s regressed below \
                  {REGRESSION_FRACTION}x the last committed trajectory entry \
                  ({prior:.0} windows/s)"
             );
-            std::process::exit(1);
         }
-        eprintln!(
-            "perfbench: trajectory gate OK ({serial:.0} >= {gate:.0} windows/s, \
-             last committed {prior:.0})"
-        );
+    }
+    Report {
+        holds,
+        ..Report::new(text, record)
     }
 }

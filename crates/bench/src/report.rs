@@ -1,8 +1,9 @@
-//! Plain-text tables and JSON result records for the experiment binaries.
+//! Plain-text tables and JSON result records for the experiment campaigns.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// A fixed-column text table, printed in the style of the paper's tables.
 #[derive(Debug, Clone)]
@@ -64,34 +65,25 @@ impl Table {
         line(&mut out);
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
-/// Writes an experiment's machine-readable record to
-/// `results/<name>.json` (next to the human-readable table), creating the
-/// directory as needed. Failures are reported but non-fatal — the table on
-/// stdout is the primary output.
-pub fn write_json(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from("results");
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("note: could not create results/: {e}");
-        return;
-    }
+/// Renders a record exactly as [`write_json`] writes it to disk: pretty
+/// JSON, no trailing newline.
+pub fn render_json(value: &serde_json::Value) -> io::Result<String> {
+    serde_json::to_string_pretty(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Writes a campaign's machine-readable record to `<dir>/<name>.json`,
+/// creating `dir` as needed, and returns the path written. A record that
+/// cannot be written is an error, never a note: a stale committed record
+/// must not survive a run that claims to have regenerated it.
+pub fn write_json(dir: &Path, name: &str, value: &serde_json::Value) -> io::Result<PathBuf> {
+    let text = render_json(value)?;
+    fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("note: could not write {}: {e}", path.display());
-            } else {
-                println!("[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("note: could not serialize results: {e}"),
-    }
+    fs::write(&path, text)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -107,6 +99,26 @@ mod tests {
         assert!(s.contains("=== Demo ==="));
         assert!(s.contains("| long-name | 2"));
         assert!(s.contains("| a         | 1"));
+    }
+
+    #[test]
+    fn write_json_round_trips_and_fails_loudly() {
+        let dir = std::env::temp_dir().join(format!("anvil-bench-records-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let record = serde_json::json!({ "experiment": "demo", "rows": [1, 2] });
+        let path = write_json(&dir, "demo", &record).expect("writable directory");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            render_json(&record).unwrap()
+        );
+
+        // `<dir>/<name>.json` cannot be created when a directory already
+        // sits at that path: the error must reach the caller.
+        fs::create_dir_all(dir.join("blocked.json")).unwrap();
+        assert!(write_json(&dir, "blocked", &record).is_err());
+        // Nor when the results directory itself is a plain file.
+        assert!(write_json(&path, "nested", &record).is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

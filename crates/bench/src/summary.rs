@@ -1,8 +1,8 @@
-//! Aggregates all `results/*.json` records into one pass/fail scorecard
-//! against the paper's headline claims. Run the individual experiments
-//! first (or `for b in table1 table3 ...; do cargo run --bin $b; done`).
+//! Aggregates the committed `results/*.json` records into one pass/fail
+//! scorecard against the paper's headline claims. Regenerate a record
+//! first with `cargo run --release -p anvil-bench -- <campaign>`.
 
-use anvil_bench::Table;
+use crate::report::Table;
 use serde_json::Value;
 use std::fs;
 
@@ -11,7 +11,9 @@ fn load(name: &str) -> Option<Value> {
     serde_json::from_str(&text).ok()
 }
 
-fn main() {
+/// Renders the scorecard from the records under `results/`; a record
+/// that is missing or unreadable shows as "not run".
+pub fn scorecard() -> String {
     let mut table = Table::new(
         "Reproduction scorecard (see EXPERIMENTS.md for the full comparison)",
         &["Claim", "Source", "Status"],
@@ -130,5 +132,5 @@ fn main() {
         }),
     );
 
-    table.print();
+    table.render()
 }

@@ -3,12 +3,21 @@
 //! bytes, because `run_cells_checked` only changes *when* a cell runs, never
 //! *what* it computes or where its result lands.
 
-use anvil_bench::{campaigns, run_cells_checked, CampaignArgs};
+use anvil_bench::{campaigns, render_json, run_cells_checked, CampaignArgs, UnknownArgument};
 use anvil_runtime::{install_quiet_panic_hook, Engine, SoakConfig};
 
 /// Serializes a campaign record exactly as `write_json` would.
 fn bytes(v: &serde_json::Value) -> String {
-    serde_json::to_string_pretty(v).expect("campaign records serialize")
+    render_json(v).expect("campaign records serialize")
+}
+
+fn to_args(s: &str) -> Vec<String> {
+    s.split_whitespace().map(str::to_string).collect()
+}
+
+/// Parses a flag string that contains only known flags.
+fn parse(s: &str) -> CampaignArgs {
+    CampaignArgs::parse(to_args(s)).expect("known flags parse")
 }
 
 #[test]
@@ -63,55 +72,62 @@ fn soak_campaign_is_thread_count_independent() {
 
 #[test]
 fn campaign_args_parse_flags_and_values() {
-    let to_args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
-    let args = CampaignArgs::parse(to_args("--quick --windows 500 --seed 7 --threads 3"));
+    let args = parse("--quick --windows 500 --seed 7 --threads 3 --engine per-op");
     assert!(args.quick);
     assert!(!args.smoke);
     assert_eq!(args.windows, Some(500));
     assert_eq!(args.seed_or(99), 7);
     assert_eq!(args.threads, 3);
+    assert_eq!(args.engine, Engine::PerOp);
 
-    let args = CampaignArgs::parse(to_args("--smoke"));
+    let args = parse("--smoke");
     assert!(args.smoke);
     assert_eq!(args.windows, None);
     assert_eq!(args.seed_or(99), 99);
     assert!(args.threads >= 1);
+    assert_eq!(args.engine, Engine::Event);
+
+    // Unknown flags and stray words are errors naming the argument,
+    // never silently ignored: `--thread 2` must not run at the default
+    // parallelism.
+    for (bad, culprit) in [
+        ("--thread 2", "--thread"),
+        ("--smoke --quik", "--quik"),
+        ("--seed 7 extra", "extra"),
+        ("table1", "table1"),
+    ] {
+        assert_eq!(
+            CampaignArgs::parse(to_args(bad)),
+            Err(UnknownArgument(culprit.to_string())),
+            "{bad:?} must be rejected"
+        );
+    }
+    assert_eq!(
+        UnknownArgument("--thread".into()).to_string(),
+        "unknown argument `--thread`"
+    );
 }
 
 #[test]
 fn campaign_args_reject_malformed_values() {
     // Malformed or zero values warn on stderr and fall back to defaults
     // instead of aborting or being silently misread.
-    let to_args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
     for bad in ["--windows 0", "--windows nope", "--windows -3", "--windows"] {
-        let args = CampaignArgs::parse(to_args(bad));
-        assert_eq!(args.windows, None, "{bad:?} must fall back to default");
+        assert_eq!(parse(bad).windows, None, "{bad:?} must fall back");
     }
-    let args = CampaignArgs::parse(to_args("--seed twelve"));
-    assert_eq!(args.seed_or(42), 42);
-    let args = CampaignArgs::parse(to_args("--threads 0"));
-    assert!(args.threads >= 1, "zero threads must fall back");
+    assert_eq!(parse("--seed twelve").seed_or(42), 42);
+    assert!(parse("--threads 0").threads >= 1, "zero threads fall back");
+    assert_eq!(parse("--engine warp").engine, Engine::Event);
 }
 
 #[test]
 fn campaign_args_bound_fleet_machine_and_domain_counts() {
-    let to_args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
-
-    let args = CampaignArgs::parse(to_args("--machines 48 --domains 8"));
+    let args = parse("--machines 48 --domains 8");
     assert_eq!(args.machines, Some(48));
     assert_eq!(args.domains, Some(8));
-    assert_eq!(
-        CampaignArgs::parse(to_args("--machines 1")).machines,
-        Some(1)
-    );
-    assert_eq!(
-        CampaignArgs::parse(to_args("--machines 4096")).machines,
-        Some(4096)
-    );
-    assert_eq!(
-        CampaignArgs::parse(to_args("--domains 64")).domains,
-        Some(64)
-    );
+    assert_eq!(parse("--machines 1").machines, Some(1));
+    assert_eq!(parse("--machines 4096").machines, Some(4096));
+    assert_eq!(parse("--domains 64").domains, Some(64));
 
     // Out-of-range, zero, negative, malformed, and missing values all
     // warn (naming the bad value, on stderr) and fall back to None.
@@ -122,16 +138,14 @@ fn campaign_args_bound_fleet_machine_and_domain_counts() {
         "--machines lots",
         "--machines",
     ] {
-        let args = CampaignArgs::parse(to_args(bad));
-        assert_eq!(args.machines, None, "{bad:?} must fall back to default");
+        assert_eq!(parse(bad).machines, None, "{bad:?} must fall back");
     }
     for bad in ["--domains 0", "--domains 65", "--domains four"] {
-        let args = CampaignArgs::parse(to_args(bad));
-        assert_eq!(args.domains, None, "{bad:?} must fall back to default");
+        assert_eq!(parse(bad).domains, None, "{bad:?} must fall back");
     }
 
     // Absent flags stay None so campaigns apply their own defaults.
-    let args = CampaignArgs::parse(to_args("--smoke"));
+    let args = parse("--smoke");
     assert_eq!(args.machines, None);
     assert_eq!(args.domains, None);
 }

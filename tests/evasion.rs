@@ -8,7 +8,7 @@ use anvil::core::{AnvilConfig, Platform, PlatformConfig};
 use anvil::dram::DisturbanceConfig;
 use proptest::prelude::*;
 
-/// One campaign cell, exactly as `--bin evasion` composes it: the seed is
+/// One campaign cell, exactly as the `evasion` campaign composes it: the seed is
 /// threaded into the hardened window-phase schedule and the DRAM fault
 /// map. Returns a full textual record of everything the campaign reports.
 fn campaign_cell(attack: Box<dyn Attack>, hardened: bool, seed: u64, ms: f64) -> String {

@@ -25,7 +25,7 @@ fn corpus_is_committed_and_nonempty() {
     let entries = corpus();
     assert!(
         !entries.is_empty(),
-        "corpus/ is empty — run `cargo run --release -p anvil-bench --bin fuzz` \
+        "corpus/ is empty — run `cargo run --release -p anvil-bench -- fuzz` \
          and commit the cases it writes"
     );
 }

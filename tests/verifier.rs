@@ -1,6 +1,6 @@
 //! Merge gates for the symbolic guarantee verifier.
 //!
-//! Three claims are enforced here. First, every counterexample the
+//! Two claims are enforced here. First, every counterexample the
 //! verifier extracts must *replay*: pushing the witness back through the
 //! full dynamic simulator reproduces exactly the detector outcome the
 //! verifier predicted (proptest over extraction seeds). Second, the
@@ -8,11 +8,11 @@
 //! fields match a fresh abstract-interpretation run and its recorded
 //! witnesses still confirm, so a detector change that shifts a proven
 //! bound or kills a counterexample fails CI until the record is
-//! regenerated. Third, the committed `results/static_analysis.json`
-//! regenerates byte-for-byte from `analyze_all`, envelope-comparison
-//! section included.
+//! regenerated. (Byte-for-byte regeneration of every committed record,
+//! `verifier.json` and `static_analysis.json` included, is the
+//! `anvil-bench` records gate, `crates/bench/tests/records.rs`.)
 
-use anvil::analyze::{analyze_all, extract_witness, verify_config, Archetype, Witness};
+use anvil::analyze::{extract_witness, verify_config, Archetype, Witness};
 use anvil::core::{AnvilConfig, EnvelopeParams};
 use anvil::faults::FaultPlan;
 use anvil::mem::MemoryConfig;
@@ -72,7 +72,7 @@ fn committed_verifier_record_regenerates() {
             cell["bound"].as_u64(),
             Some(bound.bound),
             "{detector}/{}@{flip}: committed bound is stale; rerun \
-             `cargo run --release -p anvil-bench --bin verify`",
+             `cargo run --release -p anvil-bench -- verifier`",
             bound.archetype.name()
         );
         assert_eq!(cell["audit_budget"].as_u64(), Some(bound.audit_budget));
@@ -95,23 +95,6 @@ fn committed_verifier_record_regenerates() {
         }
     }
     assert!(refutations > 0, "no refutation exercises witness replay");
-}
-
-/// The committed static-analysis report (including the symbolic
-/// envelope-comparison section) regenerates byte-for-byte through the
-/// exact pipeline the `static_analysis` binary uses.
-#[test]
-fn committed_static_analysis_regenerates_byte_for_byte() {
-    let committed =
-        fs::read_to_string(results_path("static_analysis.json")).expect("committed report");
-    let report = analyze_all(&MemoryConfig::paper_platform(), &AnvilConfig::baseline());
-    let value = serde_json::to_value(&report);
-    let regenerated = serde_json::to_string_pretty(&value).expect("report renders");
-    assert_eq!(
-        committed, regenerated,
-        "results/static_analysis.json is stale; rerun \
-         `cargo run --release -p anvil-bench --bin static_analysis`"
-    );
 }
 
 proptest! {

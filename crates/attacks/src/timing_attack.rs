@@ -15,7 +15,7 @@
 //!
 //! It fails — honestly — when the contiguity assumption is violated
 //! (randomized frame allocation), which is exactly the defense trade-off
-//! the experiment harness quantifies (`--bin pagemap_hardening`).
+//! the experiment harness quantifies (`anvil-bench pagemap_hardening`).
 
 use crate::env::{Attack, AttackEnv, AttackOp};
 use crate::error::AttackError;

@@ -1,9 +1,10 @@
-//! Criterion microbenchmarks of the simulator's hot paths.
+//! Criterion microbenchmarks of the simulator's components.
 //!
 //! These do not reproduce paper results — they keep the *simulator* fast
-//! enough that the experiment binaries finish in minutes. Rough targets on
+//! enough that the experiment campaigns finish in minutes. Rough targets on
 //! commodity hardware: DRAM access < 200 ns, hierarchy access < 150 ns,
-//! platform step < 1 us.
+//! platform step < 1 us. The perf trajectory's layers (cache, DRAM, the
+//! detector window, the soak slice) are timed by `anvil-bench perfbench`.
 
 use anvil_attacks::{Attack, DoubleSidedClflush, StandaloneHarness};
 use anvil_cache::{CacheHierarchy, HierarchyConfig};
@@ -23,7 +24,7 @@ fn bench_dram_access(c: &mut Criterion) {
             addr = (addr + 8192) & ((4 << 30) - 1);
             now += 200;
             black_box(dram.access(black_box(addr), now))
-        })
+        });
     });
 
     let mut dram = DramModule::new(DramConfig::paper_ddr3());
@@ -33,9 +34,13 @@ fn bench_dram_access(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             now += 200;
-            let addr = if i % 2 == 0 { 0x22000 } else { 0x66000 };
+            let addr = if i.is_multiple_of(2) {
+                0x22000
+            } else {
+                0x66000
+            };
             black_box(dram.access(black_box(addr), now))
-        })
+        });
     });
 }
 
@@ -46,7 +51,7 @@ fn bench_hierarchy_access(c: &mut Criterion) {
         b.iter(|| {
             addr = (addr + 64) & 0x3fff; // 16 KB loop: L1-resident
             black_box(h.access(black_box(addr), false))
-        })
+        });
     });
 
     let mut h = CacheHierarchy::new(HierarchyConfig::sandy_bridge_i5_2540m());
@@ -55,7 +60,7 @@ fn bench_hierarchy_access(c: &mut Criterion) {
         b.iter(|| {
             addr = (addr + 64) & ((1 << 30) - 1);
             black_box(h.access(black_box(addr), false))
-        })
+        });
     });
 }
 
@@ -66,7 +71,7 @@ fn bench_memory_system(c: &mut Criterion) {
         b.iter(|| {
             addr = (addr + 64) & ((1 << 28) - 1);
             black_box(sys.access(black_box(addr), AccessKind::Read))
-        })
+        });
     });
 }
 
@@ -83,7 +88,7 @@ fn bench_attack_iteration(c: &mut Criterion) {
                 &harness.process,
                 &mut harness.sys,
             ))
-        })
+        });
     });
 }
 
@@ -91,7 +96,7 @@ fn bench_platform_step(c: &mut Criterion) {
     let mut p = Platform::new(PlatformConfig::with_anvil(AnvilConfig::baseline()));
     let pid = p.add_workload(SpecBenchmark::Mcf.build(1)).unwrap();
     c.bench_function("platform_step_mcf_under_anvil", |b| {
-        b.iter(|| p.run_core_ops(black_box(pid), 1).unwrap())
+        b.iter(|| p.run_core_ops(black_box(pid), 1).unwrap());
     });
 }
 
@@ -114,7 +119,7 @@ fn bench_locality_analysis(c: &mut Criterion) {
                 15_600_000,
                 166_400_000,
             ))
-        })
+        });
     });
 }
 

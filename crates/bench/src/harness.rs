@@ -5,7 +5,6 @@ use anvil_attacks::{
     StandaloneHarness,
 };
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
-use anvil_faults::FaultScenario;
 use anvil_mem::{AllocationPolicy, MemoryConfig};
 use anvil_runtime::Engine;
 use anvil_workloads::SpecBenchmark;
@@ -223,6 +222,7 @@ where
     F: FnOnce() -> T + Send,
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    type Slot<T> = std::sync::Mutex<Option<Result<T, CellPanic>>>;
     // AssertUnwindSafe: a cell owns everything it touches (the
     // determinism contract above), so a unwind cannot leave shared state
     // half-mutated for other cells to observe.
@@ -245,7 +245,6 @@ where
         .into_iter()
         .map(|f| std::sync::Mutex::new(Some(f)))
         .collect();
-    type Slot<T> = std::sync::Mutex<Option<Result<T, CellPanic>>>;
     let slots: Vec<Slot<T>> = (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -273,6 +272,26 @@ where
                 .expect("every job ran to completion")
         })
         .collect()
+}
+
+/// Splits [`run_cells_checked`] results into the completed cells and the
+/// panicked ones, preserving submission order in both halves, and warns
+/// on stderr once per panicked cell. Every campaign folds its cells
+/// through this so a single diverging cell surfaces as typed data in the
+/// record instead of aborting the whole matrix.
+pub(crate) fn split_cells<T>(results: Vec<Result<T, CellPanic>>) -> (Vec<T>, Vec<CellPanic>) {
+    let mut cells = Vec::with_capacity(results.len());
+    let mut panics = Vec::new();
+    for r in results {
+        match r {
+            Ok(v) => cells.push(v),
+            Err(p) => {
+                eprintln!("  warning: {p}");
+                panics.push(p);
+            }
+        }
+    }
+    (cells, panics)
 }
 
 /// The three attacks of Table 1.
@@ -465,106 +484,12 @@ pub fn double_refresh_platform() -> PlatformConfig {
     c
 }
 
-/// Result of one fault-campaign cell (the resilience bench).
-#[derive(Debug, Clone, Serialize)]
-pub struct ResilienceSummary {
-    /// Fault scenario name.
-    pub scenario: String,
-    /// Attack label.
-    pub attack: String,
-    /// Fault intensity the scenario was scaled by.
-    pub intensity: f64,
-    /// Time to the first detection, ms (None: never detected).
-    pub detect_ms: Option<f64>,
-    /// Bit flips observed (must be 0 for the cell to count as protected).
-    pub flips: u64,
-    /// Stage-2 windows the degraded-protection fallback handled.
-    pub degraded_windows: u64,
-    /// Whole banks blanket-refreshed by degraded mode.
-    pub bank_refreshes: u64,
-    /// Detector services that ran past their deadline.
-    pub missed_deadlines: u64,
-    /// Stage-2 samples lost to the injected substrate.
-    pub samples_lost: u64,
-    /// Stage-2 samples whose translation failed.
-    pub samples_unresolved: u64,
-    /// Whether ANVIL protected the run: no flips, and either a detection
-    /// or a visible degraded-mode engagement stood in for one.
-    pub protected: bool,
-}
-
-impl ResilienceSummary {
-    /// Summarizes a finished fault-campaign run on `p`.
-    fn of(p: &Platform, scenario: FaultScenario, attack: String, intensity: f64) -> Self {
-        let stats = *p.detector_stats().expect("anvil loaded");
-        let detect_ms = p.first_detection_ms();
-        let flips = p.total_flips();
-        ResilienceSummary {
-            scenario: scenario.name().to_string(),
-            attack,
-            intensity,
-            detect_ms,
-            flips,
-            degraded_windows: stats.degraded_windows,
-            bank_refreshes: stats.bank_refreshes,
-            missed_deadlines: stats.missed_deadlines,
-            samples_lost: stats.samples_lost,
-            samples_unresolved: stats.samples_unresolved,
-            protected: flips == 0 && (detect_ms.is_some() || stats.degraded_windows > 0),
-        }
-    }
-}
-
-/// Runs one attack under ANVIL with `scenario` injected at `intensity`,
-/// and summarizes protection and degraded-mode engagement.
-pub fn resilience_run(
-    scenario: FaultScenario,
-    intensity: f64,
-    kind: AttackKind,
-    anvil: AnvilConfig,
-    ms: f64,
-    seed: u64,
-) -> ResilienceSummary {
-    let plan = scenario.plan(intensity, seed);
-    let mut p = Platform::new(PlatformConfig::with_anvil(anvil).with_faults(plan));
-    let pair = vulnerable_pair_index(kind, MemoryConfig::paper_platform(), 24).unwrap_or(0);
-    p.add_attack(kind.build(pair))
-        .expect("attack prepares on open platform");
-    p.run_ms(ms).expect("run completes");
-    ResilienceSummary::of(&p, scenario, kind.label().to_string(), intensity)
-}
-
-/// Runs a prebuilt adaptive adversary (from `anvil-adversary`) under
-/// `anvil` on future DRAM (half the paper's flip threshold) with
-/// `scenario` injected — one fault × evasion cross-matrix cell. Unlike
-/// [`resilience_run`] the attack chooses its own aggressor layout, so no
-/// vulnerable-pair scan happens here; future DRAM makes every fourth row
-/// vulnerable, which the adversaries' templating already exploits.
-pub fn evasion_resilience_run(
-    scenario: FaultScenario,
-    intensity: f64,
-    attack: Box<dyn Attack>,
-    anvil: AnvilConfig,
-    ms: f64,
-    seed: u64,
-) -> ResilienceSummary {
-    let name = attack.name().to_string();
-    let plan = scenario.plan(intensity, seed);
-    let mut pc = PlatformConfig::with_anvil(anvil).with_faults(plan);
-    pc.memory.dram.disturbance = anvil_dram::DisturbanceConfig::future_half_threshold();
-    pc.memory.dram.seed ^= seed;
-    let mut p = Platform::new(pc);
-    p.add_attack(attack)
-        .expect("attack prepares on open platform");
-    p.run_ms(ms).expect("run completes");
-    ResilienceSummary::of(&p, scenario, name, intensity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    #[allow(clippy::float_cmp)] // 0.5 × 100 is exact
     fn scale_parsing_and_math() {
         let s = Scale::fixed(0.5);
         assert_eq!(s.ms(100.0), 50.0);

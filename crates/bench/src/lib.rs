@@ -5,7 +5,7 @@
 //! Experiment harness for the ANVIL (ASPLOS 2016) reproduction: one
 //! `anvil-bench` binary that runs every table, figure and robustness
 //! campaign of the evaluation by name, plus Criterion microbenchmarks of
-//! the simulator's hot paths.
+//! the simulator's components (`benches/micro.rs`).
 //!
 //! Run a campaign with, e.g.:
 //!
@@ -16,15 +16,17 @@
 //! cargo run --release -p anvil-bench -- summary
 //! ```
 //!
-//! Every campaign is a row of [`registry::CAMPAIGNS`]: it prints its
-//! regenerated table on stdout, writes a machine-readable record to
-//! `results/<campaign>.json`, and exits non-zero when its gate fails.
+//! Every campaign is a row of [`registry::CAMPAIGNS`] and one function
+//! from [`CampaignArgs`] to a [`Report`] in [`paper`], [`ablations`],
+//! [`mechanisms`] or [`robustness`]: it runs its cells, folds them, and
+//! builds its table, record and gate in one place. The entry point prints
+//! the table on stdout, writes the record to `results/<campaign>.json`,
+//! and exits non-zero when the gate fails.
 //! `tests/records.rs` regenerates every committed record from the same
 //! table and byte-compares it. See `DESIGN.md` §4 for the experiment
 //! index and `EXPERIMENTS.md` for paper-vs-measured numbers.
 
 pub mod ablations;
-pub mod campaigns;
 pub mod harness;
 pub mod mechanisms;
 pub mod paper;
@@ -36,10 +38,9 @@ pub mod selfdefense;
 pub mod summary;
 
 pub use harness::{
-    detection_run, double_refresh_platform, evasion_resilience_run, false_positive_rate,
-    normalized_time, normalized_time_target, resilience_run, run_cells_checked,
-    vulnerable_pair_index, AttackKind, CampaignArgs, CellPanic, DetectionSummary,
-    ResilienceSummary, Scale, UnknownArgument,
+    detection_run, double_refresh_platform, false_positive_rate, normalized_time,
+    normalized_time_target, run_cells_checked, vulnerable_pair_index, AttackKind, CampaignArgs,
+    CellPanic, DetectionSummary, Scale, UnknownArgument,
 };
 pub use registry::{Campaign, Report, CAMPAIGNS};
 pub use report::{render_json, write_json, Table};

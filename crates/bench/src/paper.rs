@@ -1,10 +1,10 @@
 //! The paper's evaluation artifacts: Tables 1 and 3–5, Figures 3–4, and
 //! the §4.2 zero-false-negative detection matrix.
 
-use crate::campaigns;
 use crate::harness::{
     detection_run, double_refresh_platform, false_positive_rate, fastest_flip,
-    normalized_time_target, AttackKind, CampaignArgs,
+    normalized_time_target, run_cells_checked, split_cells, AttackKind, CampaignArgs,
+    DetectionSummary,
 };
 use crate::registry::Report;
 use crate::report::Table;
@@ -400,6 +400,25 @@ pub fn figure4(args: &CampaignArgs) -> Report {
     )
 }
 
+/// Whether `config` is designed to catch this attack. ANVIL-heavy shrinks
+/// its windows for *fast* future attacks but keeps the 20K threshold, so a
+/// slow CLFLUSH-free hammer (~19K misses / 2 ms) can legitimately stay
+/// below its stage-1 trigger — the paper's Section 4.5 frames heavy and
+/// light as complements to the baseline, not replacements.
+fn in_scope(config: &str, kind: AttackKind) -> bool {
+    !(config == "heavy" && matches!(kind, AttackKind::ClflushFree))
+}
+
+/// One detection-matrix cell.
+struct MatrixCell {
+    /// The detection run's result.
+    summary: DetectionSummary,
+    /// ANVIL configuration label (`baseline` / `light` / `heavy`).
+    config: &'static str,
+    /// Whether this configuration is expected to catch this attack.
+    in_scope: bool,
+}
+
 /// **Section 4.2** — Zero false negatives across the attack matrix.
 ///
 /// Runs every attack under every ANVIL configuration, with and without
@@ -409,19 +428,52 @@ pub fn figure4(args: &CampaignArgs) -> Report {
 /// attacker scenarios of Section 4.5 (faster flips, spread-out accesses)
 /// that the light/heavy configurations target. The cells are independent
 /// detection runs, so `--threads N` fans them across cores without
-/// changing the record. The committed record documents an expected miss
-/// (EXPERIMENTS.md §4.2/4.5), so this campaign reports a warning rather
-/// than failing its gate.
+/// changing the record; a panicked cell counts as a miss. The committed
+/// record documents an expected miss (EXPERIMENTS.md §4.2/4.5), so this
+/// campaign reports a warning rather than failing its gate.
 pub fn detection_matrix(args: &CampaignArgs) -> Report {
     let run_ms = args.scale().ms(200.0).max(100.0);
-    let out = campaigns::detection_matrix(run_ms, args.threads);
+    let configs: [(&'static str, AnvilConfig); 3] = [
+        ("baseline", AnvilConfig::baseline()),
+        ("light", AnvilConfig::light()),
+        ("heavy", AnvilConfig::heavy()),
+    ];
+    let mut jobs: Vec<Box<dyn FnOnce() -> MatrixCell + Send>> = Vec::new();
+    for kind in AttackKind::all() {
+        for (label, cfg) in configs {
+            for heavy in [false, true] {
+                jobs.push(Box::new(move || {
+                    let s = detection_run(kind, cfg, heavy, run_ms, 3);
+                    eprintln!(
+                        "  [{} / {label} / {}] {:?}, flips {}",
+                        kind.label(),
+                        if heavy { "heavy" } else { "light" },
+                        s.detect_ms,
+                        s.flips
+                    );
+                    MatrixCell {
+                        summary: s,
+                        config: label,
+                        in_scope: in_scope(label, kind),
+                    }
+                }));
+            }
+        }
+    }
+    let (cells, panics) = split_cells(run_cells_checked(args.threads, jobs));
 
     let mut table = Table::new(
         "Section 4.2/4.5: Detection matrix (attack x config x load)",
         &["Attack", "Config", "Load", "Detected at", "Flips"],
     );
-    for c in &out.cells {
-        let detected = c.summary.detect_ms.map_or(
+    let mut misses = panics.len();
+    let mut rows = Vec::with_capacity(cells.len());
+    for c in &cells {
+        let s = &c.summary;
+        if c.in_scope && (s.detect_ms.is_none() || s.flips > 0) {
+            misses += 1;
+        }
+        let detected = s.detect_ms.map_or(
             if c.in_scope {
                 "NOT DETECTED"
             } else {
@@ -430,22 +482,25 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
             .into(),
             |d| format!("{d:.1} ms"),
         );
+        let load = if s.heavy_load { "heavy" } else { "light" };
         table.row(&[
-            c.summary.attack.clone(),
+            s.attack.clone(),
             c.config.to_string(),
-            if c.summary.heavy_load {
-                "heavy"
-            } else {
-                "light"
-            }
-            .to_string(),
+            load.to_string(),
             detected,
-            c.summary.flips.to_string(),
+            s.flips.to_string(),
         ]);
+        rows.push(json!({
+            "attack": s.attack,
+            "config": c.config,
+            "heavy_load": s.heavy_load,
+            "detect_ms": s.detect_ms,
+            "flips": s.flips,
+        }));
     }
 
     let mut text = table.render();
-    text.push_str(if out.misses == 0 {
+    text.push_str(if misses == 0 {
         "ZERO FALSE NEGATIVES, ZERO FLIPS in every in-scope cell — matches Section 4.2.\n\
              (ANVIL-heavy intentionally trades the slow-attack corner for 3x faster\n\
              response; deploy it alongside, not instead of, the baseline — Section 4.5.)"
@@ -453,5 +508,11 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
         "WARNING: some in-scope attacks were missed or flipped bits."
     });
     text.push('\n');
-    Report::new(text, out.json)
+    let record = json!({
+        "experiment": "detection_matrix",
+        "rows": rows,
+        "misses": misses,
+        "cell_panics": panics,
+    });
+    Report::new(text, record)
 }

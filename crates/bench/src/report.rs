@@ -18,7 +18,7 @@ impl Table {
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(ToString::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -36,7 +36,7 @@ impl Table {
 
     /// Renders the table.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());

@@ -164,6 +164,92 @@ pub struct ArmCell {
     pub exposure_flips: u64,
 }
 
+/// Aggregate verdict of the self-defense campaign: the unguarded
+/// baseline must demonstrably lose detections (and data) to the
+/// state-targeting attack, while the guarded detector must declare every
+/// corruption and protect the co-located data victim.
+#[derive(Debug, Serialize)]
+pub(crate) struct SelfDefenseVerdict {
+    /// Detections summed over unguarded cells.
+    pub baseline_detections: u64,
+    /// Detections summed over guarded cells.
+    pub guarded_detections: u64,
+    /// Undeclared data-victim flips summed over unguarded cells.
+    pub baseline_undeclared: u64,
+    /// Undeclared data-victim flips summed over guarded cells.
+    pub guarded_undeclared: u64,
+    /// State flips the attacker landed on guarded cells.
+    pub guarded_injected: u64,
+    /// Corruptions the guarded detector repaired in place.
+    pub guarded_repaired: u64,
+    /// Corruptions the guarded detector escalated to a cold restart.
+    pub guarded_escalated: u64,
+    /// Injected sites a guarded cell absorbed without ever declaring.
+    pub guarded_absorbed: u64,
+    /// State flips silently absorbed by the unguarded baseline.
+    pub baseline_absorbed: u64,
+    /// Whether every guarded recovery gap stayed inside the envelope's
+    /// downtime budget.
+    pub within_budget: bool,
+    /// Cells that panicked instead of completing.
+    pub cell_panics: u64,
+}
+
+impl SelfDefenseVerdict {
+    /// Folds the completed cells, plus `panics` cells that died.
+    pub(crate) fn aggregate(cells: &[ArmCell], panics: u64) -> Self {
+        let mut v = Self {
+            baseline_detections: 0,
+            guarded_detections: 0,
+            baseline_undeclared: 0,
+            guarded_undeclared: 0,
+            guarded_injected: 0,
+            guarded_repaired: 0,
+            guarded_escalated: 0,
+            guarded_absorbed: 0,
+            baseline_absorbed: 0,
+            within_budget: true,
+            cell_panics: panics,
+        };
+        for c in cells {
+            if c.arm == "guarded" {
+                v.guarded_detections += c.detections;
+                v.guarded_undeclared += c.undeclared_flips;
+                v.guarded_injected += c.state_flips_injected;
+                v.guarded_repaired += c.declared_repaired;
+                v.guarded_escalated += c.declared_escalated;
+                v.guarded_absorbed += c.silently_absorbed_sites;
+                v.within_budget &= c.within_budget;
+            } else {
+                v.baseline_detections += c.detections;
+                v.baseline_undeclared += c.undeclared_flips;
+                v.baseline_absorbed += c.silently_absorbed_sites;
+            }
+        }
+        v
+    }
+
+    /// The merge gate. Each clause is one claim of DESIGN.md §15: the
+    /// attack works (the baseline goes blind and loses data, absorbing
+    /// every flip silently), the guard defeats it (more detections, no
+    /// undeclared data flips), and the self-integrity contract holds
+    /// (every injected corruption repaired or escalated — never
+    /// silently absorbed — with both policy arms exercised and every
+    /// declared outage inside the downtime budget).
+    pub(crate) fn holds(&self) -> bool {
+        self.guarded_detections > self.baseline_detections
+            && self.baseline_undeclared > 0
+            && self.baseline_absorbed > 0
+            && self.guarded_undeclared == 0
+            && self.guarded_injected > 0
+            && self.guarded_absorbed == 0
+            && self.guarded_repaired > 0
+            && self.guarded_escalated > 0
+            && self.within_budget
+            && self.cell_panics == 0
+    }
+}
+
 /// Runs one campaign cell: one supervised detector lifetime under the
 /// state-targeting attack. A pure function of `(seed, windows, guarded,
 /// trial)`, so cells fan out across threads without changing the record;

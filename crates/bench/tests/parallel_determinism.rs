@@ -3,7 +3,8 @@
 //! bytes, because `run_cells_checked` only changes *when* a cell runs, never
 //! *what* it computes or where its result lands.
 
-use anvil_bench::{campaigns, render_json, run_cells_checked, CampaignArgs, UnknownArgument};
+use anvil_bench::robustness::{fuzz, resilience, soak_with, verifier};
+use anvil_bench::{render_json, run_cells_checked, CampaignArgs, Report, UnknownArgument};
 use anvil_runtime::{install_quiet_panic_hook, Engine, SoakConfig};
 
 /// Serializes a campaign record exactly as `write_json` would.
@@ -18,6 +19,19 @@ fn to_args(s: &str) -> Vec<String> {
 /// Parses a flag string that contains only known flags.
 fn parse(s: &str) -> CampaignArgs {
     CampaignArgs::parse(to_args(s)).expect("known flags parse")
+}
+
+/// The campaign's record bytes at each thread count, run with `flags`
+/// plus `--threads N`.
+fn records_at(
+    threads: &[usize],
+    flags: &str,
+    run: impl Fn(&CampaignArgs) -> Report,
+) -> Vec<String> {
+    threads
+        .iter()
+        .map(|t| bytes(&run(&parse(&format!("{flags} --threads {t}"))).record))
+        .collect()
 }
 
 #[test]
@@ -35,12 +49,10 @@ fn run_cells_preserves_cell_order() {
 
 #[test]
 fn resilience_campaign_is_thread_count_independent() {
-    // Smoke matrix at a short run: 7 fault cells + 1 cross cell, long
-    // enough for detections and degraded-mode engagement to occur.
-    let runs: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| bytes(&campaigns::resilience(true, 36.0, 0xA_11CE, t).json))
-        .collect();
+    // Smoke matrix at a short run (6 windows, 36 ms): 7 fault cells + 1
+    // cross cell, long enough for detections and degraded-mode
+    // engagement to occur. The seed is the default, 0xA11CE.
+    let runs = records_at(&[1, 2, 4], "--smoke --windows 6", resilience);
     assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged");
     assert_eq!(runs[0], runs[2], "1 vs 4 threads diverged");
 }
@@ -48,11 +60,9 @@ fn resilience_campaign_is_thread_count_independent() {
 #[test]
 fn verify_campaign_is_thread_count_independent() {
     // Smoke matrix (future threshold only): pure symbolic bounds plus
-    // witness hunts, whose replays are seeded per cell up front.
-    let runs: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| bytes(&campaigns::verify(true, 70.0, 0xE5A51, t).json))
-        .collect();
+    // witness hunts, whose replays are seeded per cell up front. `--quick`
+    // replays witnesses for 70 ms; the seed is the default, 0xE5A51.
+    let runs = records_at(&[1, 2, 4], "--smoke --quick", verifier);
     assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged");
     assert_eq!(runs[0], runs[2], "1 vs 4 threads diverged");
 }
@@ -63,10 +73,7 @@ fn soak_campaign_is_thread_count_independent() {
     let mut cfg = SoakConfig::standard(4_000, 0x50AC);
     cfg.lifecycle.crash_rate = 5e-3;
     cfg.reload_every = 2_000;
-    let runs: Vec<String> = [1usize, 2]
-        .iter()
-        .map(|&t| bytes(&campaigns::soak(&cfg, 0x50AC, true, t, Engine::default()).json))
-        .collect();
+    let runs = records_at(&[1, 2], "--smoke", |args| soak_with(&cfg, args));
     assert_eq!(runs[0], runs[1], "soak diverged across thread counts");
 }
 
@@ -156,10 +163,8 @@ fn fuzz_campaign_is_thread_count_independent() {
     // in submission order, so the whole coverage-guided loop — RNG
     // streams, pool contents, shrink traces — must be identical at any
     // thread count.
-    let runs: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .map(|&t| bytes(&campaigns::fuzz(true, 0xF0229, t).json))
-        .collect();
+    // The smoke budget at the default seed, 0xF0229.
+    let runs = records_at(&[1, 2, 4], "--smoke", fuzz);
     assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged");
     assert_eq!(runs[0], runs[2], "1 vs 4 threads diverged");
 }

@@ -64,6 +64,16 @@ fn check(name: &str, args: CampaignArgs) {
             ))
         });
     let report = (campaign.run)(&args);
+    // A record that states its own verdict (soak, fleet, selfdefense)
+    // must state the gate's.
+    if let Some(recorded) = report.record.get("holds") {
+        if recorded.as_bool() != Some(report.holds) {
+            fail(&format!(
+                "{name}: the record says \"holds\": {recorded:?}, the gate says {}",
+                report.holds
+            ));
+        }
+    }
     let regenerated = render_json(&report.record).expect("record serializes");
     if committed != regenerated {
         let line = (0..=committed.lines().count().max(regenerated.lines().count()))

@@ -32,7 +32,7 @@
 //!   violations, zero dead cells).
 //!
 //! One machine is one pure cell of `(FleetConfig, machine_index)`:
-//! the `--bin fleet` campaign in `anvil-bench` fans machines across
+//! the `anvil-bench fleet` campaign fans machines across
 //! threads and folds them in submission order, so `results/fleet.json`
 //! is byte-identical at any `--threads`.
 //!

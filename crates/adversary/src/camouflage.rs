@@ -188,7 +188,7 @@ mod tests {
         let mut attack = prepared(10);
         assert_eq!(attack.aggressor_paddrs().len(), 2);
         let unit = 4 + 2 * 10;
-        let ops: Vec<AttackOp> = (0..unit * 50 + 1).map(|_| attack.next_op()).collect();
+        let ops: Vec<AttackOp> = (0..=unit * 50).map(|_| attack.next_op()).collect();
         let (aggressors, fillers) = split(&ops);
         assert_eq!(fillers.len(), aggressors.len() * 10);
     }

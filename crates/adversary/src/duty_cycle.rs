@@ -174,11 +174,8 @@ mod tests {
         // The prefix is pure idle summing to window - burst_cost/2.
         let want = EST_STAGE1_WINDOW_CYCLES - 28_000 * EST_ATTACK_ACCESS_CYCLES / 2;
         let mut idle = 0;
-        loop {
-            match attack.next_op() {
-                AttackOp::Compute { cycles } => idle += cycles,
-                _ => break,
-            }
+        while let AttackOp::Compute { cycles } = attack.next_op() {
+            idle += cycles;
         }
         assert_eq!(idle, want);
     }
@@ -205,7 +202,7 @@ mod tests {
         let period = 2 * EST_STAGE1_WINDOW_CYCLES;
         assert_eq!(idle, period - 28_000 * EST_ATTACK_ACCESS_CYCLES);
         // Idle comes in deadline-friendly chunks.
-        assert!(IDLE_CHUNK_CYCLES <= 10_000);
+        const { assert!(IDLE_CHUNK_CYCLES <= 10_000) };
     }
 
     #[test]

@@ -34,10 +34,13 @@
 //!   into scrub gaps; the `selfdefense` campaign in `anvil-bench` drives
 //!   it against guarded and unguarded state.
 //!
-//! All strategies implement [`anvil_attacks::Attack`], so they run under
-//! the platform in `anvil-core` exactly like the paper's attacks. The
+//! The first five implement [`anvil_attacks::Attack`], so they run under
+//! the platform in `anvil-core` exactly like the paper's attacks; the
 //! `evasion` campaign in `anvil-bench` crosses them with the baseline
-//! and hardened detector configurations.
+//! and hardened detector configurations. [`CrossDomainHammer`] and
+//! [`StateTargetingHammer`] are not op streams: they state their pressure
+//! directly as activations per detector window, which the window-granular
+//! `fleet` and `selfdefense` campaigns consume.
 
 mod camouflage;
 mod common;

@@ -133,7 +133,7 @@ mod tests {
             .iter()
             .map(|&c| p.translate(c).unwrap() & !63)
             .collect();
-        lines.sort();
+        lines.sort_unstable();
         lines.dedup();
         assert_eq!(lines.len(), set.len());
     }

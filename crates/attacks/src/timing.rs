@@ -258,9 +258,8 @@ mod tests {
             if b >= va + len {
                 break;
             }
-            let set_b = match build_eviction_set_by_timing(&mut sys, &p, va, len, b) {
-                Ok(s) => s,
-                Err(_) => continue,
+            let Ok(set_b) = build_eviction_set_by_timing(&mut sys, &p, va, len, b) else {
+                continue;
             };
             let verdict = same_bank_by_timing(
                 &mut sys,

@@ -132,7 +132,7 @@ records! {
     // 12 s (soak) to 29 s (table1).
     #[ignore = "5-30 s; run by the CI records job"]
     [parallel, serial_per_op]: soak, ablation_threshold, overhead_breakdown, fleet, table1;
-    // 40 s (resilience) to 408 s (table5).
+    // 40 s (resilience) to 271 s (table5).
     #[ignore = "over 30 s; run by the CI records job"]
     [parallel]:
         resilience, fuzz, ablation_sampling, detection_matrix, table3, figure4, figure3,

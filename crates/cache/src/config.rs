@@ -51,6 +51,12 @@ impl CacheConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
         }
+        if self.line_bytes < 2 {
+            return Err("line size must be at least two bytes".into());
+        }
+        if self.ways > 64 {
+            return Err("associativity must be at most 64 ways".into());
+        }
         let sets = self.sets();
         if sets == 0 {
             return Err("capacity too small for ways x line".into());

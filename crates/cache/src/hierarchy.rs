@@ -505,3 +505,195 @@ mod prefetch_tests {
         assert_eq!(epoch.access(0x8000, false).level, HitLevel::L1);
     }
 }
+
+/// The hierarchy's routing over the entry-array reference caches: hit
+/// levels, writebacks, prefetch fills and stats must match the real
+/// hierarchy's exactly.
+#[cfg(test)]
+mod reference_tests {
+    use super::*;
+    use crate::cache::reference::{EntryCache, POLICIES};
+    use crate::config::PrefetchPolicy;
+    use proptest::prelude::*;
+
+    struct ReferenceHierarchy {
+        config: HierarchyConfig,
+        l1: EntryCache,
+        l2: EntryCache,
+        slices: Vec<EntryCache>,
+        /// Slice routing is configuration-only; the real hierarchy's
+        /// `slice_of` serves as the oracle.
+        router: CacheHierarchy,
+    }
+
+    impl ReferenceHierarchy {
+        fn new(config: HierarchyConfig) -> Self {
+            let mut slice_cfg = config.l3;
+            slice_cfg.capacity_bytes /= config.l3_slices as u64;
+            ReferenceHierarchy {
+                config,
+                l1: EntryCache::new(config.l1),
+                l2: EntryCache::new(config.l2),
+                slices: (0..config.l3_slices)
+                    .map(|_| EntryCache::new(slice_cfg))
+                    .collect(),
+                router: CacheHierarchy::new(config),
+            }
+        }
+
+        fn access(&mut self, paddr: u64, write: bool) -> HierarchyAccess {
+            let mut wb = Vec::new();
+            let mut pf = Vec::new();
+            let r1 = self.l1.access(paddr, write);
+            if r1.hit {
+                return HierarchyAccess {
+                    level: HitLevel::L1,
+                    latency: self.config.l1.latency,
+                    writebacks: wb,
+                    prefetch_fills: pf,
+                };
+            }
+            if let Some(ev) = r1.evicted.filter(|ev| ev.dirty) {
+                self.writeback_to_l2(ev.paddr, &mut wb);
+            }
+            let r2 = self.l2.access(paddr, false);
+            if let Some(ev) = r2.evicted.filter(|ev| ev.dirty) {
+                self.writeback_to_l3(ev.paddr, &mut wb);
+            }
+            if r2.hit {
+                return HierarchyAccess {
+                    level: HitLevel::L2,
+                    latency: self.config.l2.latency,
+                    writebacks: wb,
+                    prefetch_fills: pf,
+                };
+            }
+            let r3 = self.slices[self.router.slice_of(paddr)].access(paddr, false);
+            if let Some(ev) = r3.evicted {
+                self.back_invalidate(ev.paddr, ev.dirty, &mut wb);
+            }
+            let level = if r3.hit {
+                HitLevel::L3
+            } else {
+                HitLevel::Memory
+            };
+            if level == HitLevel::Memory && self.config.prefetch == PrefetchPolicy::NextLine {
+                let line = self.config.l3.line_bytes as u64;
+                let next = (paddr & !(line - 1)) + line;
+                let r3 = self.slices[self.router.slice_of(next)].access(next, false);
+                if let Some(ev) = r3.evicted {
+                    self.back_invalidate(ev.paddr, ev.dirty, &mut wb);
+                }
+                if !r3.hit {
+                    pf.push(next);
+                }
+                let r2 = self.l2.access(next, false);
+                if let Some(ev) = r2.evicted.filter(|ev| ev.dirty) {
+                    self.writeback_to_l3(ev.paddr, &mut wb);
+                }
+            }
+            HierarchyAccess {
+                level,
+                latency: self.config.l3.latency,
+                writebacks: wb,
+                prefetch_fills: pf,
+            }
+        }
+
+        fn writeback_to_l2(&mut self, line: u64, wb: &mut Vec<u64>) {
+            if let Some(ev) = self.l2.access(line, true).evicted.filter(|ev| ev.dirty) {
+                self.writeback_to_l3(ev.paddr, wb);
+            }
+        }
+
+        fn writeback_to_l3(&mut self, line: u64, wb: &mut Vec<u64>) {
+            let slice = self.router.slice_of(line);
+            if let Some(ev) = self.slices[slice].access(line, true).evicted {
+                self.back_invalidate(ev.paddr, ev.dirty, wb);
+            }
+        }
+
+        fn back_invalidate(&mut self, line: u64, l3_dirty: bool, wb: &mut Vec<u64>) {
+            let d1 = self.l1.invalidate(line).unwrap_or(false);
+            let d2 = self.l2.invalidate(line).unwrap_or(false);
+            if l3_dirty || d1 || d2 {
+                wb.push(line);
+            }
+        }
+
+        fn clflush(&mut self, paddr: u64) -> Option<u64> {
+            let d1 = self.l1.invalidate(paddr).unwrap_or(false);
+            let d2 = self.l2.invalidate(paddr).unwrap_or(false);
+            let slice = self.router.slice_of(paddr);
+            let d3 = self.slices[slice].invalidate(paddr).unwrap_or(false);
+            let line = paddr & !(self.config.l3.line_bytes as u64 - 1);
+            (d1 || d2 || d3).then_some(line)
+        }
+
+        fn probe(&self, paddr: u64) -> Option<HitLevel> {
+            if self.l1.probe(paddr) {
+                Some(HitLevel::L1)
+            } else if self.l2.probe(paddr) {
+                Some(HitLevel::L2)
+            } else if self.slices[self.router.slice_of(paddr)].probe(paddr) {
+                Some(HitLevel::L3)
+            } else {
+                None
+            }
+        }
+
+        fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
+            let mut l3 = CacheStats::default();
+            for s in &self.slices {
+                let st = s.stats();
+                l3.accesses += st.accesses;
+                l3.hits += st.hits;
+                l3.evictions += st.evictions;
+                l3.dirty_evictions += st.dirty_evictions;
+                l3.invalidations += st.invalidations;
+            }
+            (*self.l1.stats(), *self.l2.stats(), l3)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// For every policy at every level, with and without the
+        /// next-line prefetcher: each access's hit level, latency,
+        /// writebacks and prefetch fills, each CLFLUSH's writeback, probes
+        /// and the final per-level stats match the reference. Each op is
+        /// `(tag, line, write)` over a footprint about twice the tiny
+        /// LLC: tags 0-12 access, 13 flushes, 14 probes.
+        #[test]
+        fn hierarchy_matches_entry_reference(
+            prefetch in 0u32..2,
+            ops in prop::collection::vec((0u32..15, 0u64..3_072, 0u32..3), 1..1_500),
+        ) {
+            for policy in POLICIES {
+                let mut config = HierarchyConfig::tiny();
+                config.l1.policy = policy;
+                config.l2.policy = policy;
+                config.l3.policy = policy;
+                if prefetch == 1 {
+                    config.prefetch = PrefetchPolicy::NextLine;
+                }
+                let mut h = CacheHierarchy::new(config);
+                let mut reference = ReferenceHierarchy::new(config);
+                for &(tag, line, w) in &ops {
+                    let paddr = line * 64 + u64::from(w);
+                    match tag {
+                        0..=12 => prop_assert_eq!(
+                            h.access(paddr, w == 0),
+                            reference.access(paddr, w == 0),
+                            "{} access {:#x}", policy, paddr
+                        ),
+                        13 => prop_assert_eq!(h.clflush(paddr), reference.clflush(paddr)),
+                        _ => prop_assert_eq!(h.probe(paddr), reference.probe(paddr)),
+                    }
+                }
+                prop_assert_eq!(h.stats(), reference.stats(), "{}", policy);
+            }
+        }
+    }
+}

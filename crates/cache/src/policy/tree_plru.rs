@@ -15,39 +15,51 @@ use super::ReplacementPolicy;
 #[derive(Debug, Clone)]
 pub struct TreePlru {
     ways: usize,
-    /// Tree capacity: `ways` rounded up to a power of two.
-    cap: usize,
-    /// `cap - 1` tree bits per set, heap order (node 0 is the root).
-    bits: Vec<bool>,
+    /// Tree depth: log2 of `ways` rounded up to a power of two.
+    levels: u32,
+    /// One word of tree bits per set, heap order (bit 0 is the root).
+    bits: Vec<u64>,
+    /// Per way, the tree bits on its root-to-leaf path and the values a
+    /// touch writes there (each pointing away from the way), so a touch
+    /// is one masked store instead of a walk.
+    paths: Vec<(u64, u64)>,
 }
 
 impl TreePlru {
     /// Creates the policy for `sets` x `ways`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways > 64`.
     pub fn new(sets: usize, ways: usize) -> Self {
-        let cap = ways.next_power_of_two();
+        assert!(ways <= 64, "Tree-PLRU supports at most 64 ways");
+        let levels = ways.next_power_of_two().trailing_zeros();
+        let paths = (0..ways)
+            .map(|way| {
+                let (mut mask, mut value, mut node) = (0u64, 0u64, 0usize);
+                for level in (0..levels).rev() {
+                    let bit = (way >> level) & 1;
+                    mask |= 1 << node;
+                    if bit == 0 {
+                        value |= 1 << node;
+                    }
+                    node = 2 * node + 1 + bit;
+                }
+                (mask, value)
+            })
+            .collect();
         TreePlru {
             ways,
-            cap,
-            bits: vec![false; sets * (cap - 1).max(1)],
+            levels,
+            bits: vec![0; sets],
+            paths,
         }
-    }
-
-    fn levels(&self) -> usize {
-        self.cap.trailing_zeros() as usize
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        if self.cap == 1 {
-            return;
-        }
-        let base = set * (self.cap - 1);
-        let mut node = 0usize;
-        for level in (0..self.levels()).rev() {
-            let bit = (way >> level) & 1;
-            // Point away from the accessed way.
-            self.bits[base + node] = bit == 0;
-            node = 2 * node + 1 + bit;
-        }
+        let (mask, value) = self.paths[way];
+        let b = &mut self.bits[set];
+        *b = (*b & !mask) | value;
     }
 }
 
@@ -61,20 +73,16 @@ impl ReplacementPolicy for TreePlru {
     }
 
     fn victim(&mut self, set: usize) -> usize {
-        if self.cap == 1 {
-            return 0;
-        }
-        let base = set * (self.cap - 1);
+        let bits = self.bits[set];
         let mut node = 0usize;
         let mut lo = 0usize;
-        let mut size = self.cap;
-        for _ in 0..self.levels() {
+        let mut size = 1usize << self.levels;
+        for _ in 0..self.levels {
             size /= 2;
-            let mut dir = usize::from(self.bits[base + node]);
-            // Steer away from leaves that do not exist (ways < cap).
-            if dir == 1 && lo + size >= self.ways {
-                dir = 0;
-            }
+            // Follow the node's bit, but steer away from leaves that do
+            // not exist (ways < cap). Branch-free: the bits are as good as
+            // random, so a branch here mispredicts half the time.
+            let dir = ((bits >> node) & 1) as usize & usize::from(lo + size < self.ways);
             lo += dir * size;
             node = 2 * node + 1 + dir;
         }
@@ -131,6 +139,12 @@ mod tests {
             assert_ne!(v, w, "evicted the just-touched way");
             p.on_fill(0, v);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn too_many_ways_panics() {
+        TreePlru::new(1, 65);
     }
 
     #[test]

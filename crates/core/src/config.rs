@@ -384,15 +384,15 @@ mod tests {
     fn baseline_matches_table2() {
         let c = AnvilConfig::baseline();
         assert_eq!(c.llc_miss_threshold, 20_000);
-        assert_eq!(c.tc_ms, 6.0);
-        assert_eq!(c.ts_ms, 6.0);
+        assert!((c.tc_ms - 6.0).abs() < f64::EPSILON);
+        assert!((c.ts_ms - 6.0).abs() < f64::EPSILON);
         c.validate().unwrap();
     }
 
     #[test]
     fn heavy_shrinks_windows() {
         let c = AnvilConfig::heavy();
-        assert_eq!(c.tc_ms, 2.0);
+        assert!((c.tc_ms - 2.0).abs() < f64::EPSILON);
         // The threshold scales with the window so the arming *rate* is
         // baseline's (20K per 6 ms); the absolute 20K over 2 ms would
         // break the guarantee envelope (640K undetectable activations).
@@ -407,7 +407,7 @@ mod tests {
         assert!(!AnvilConfig::baseline().hardening.enabled);
         // Everything else matches the shipped baseline.
         assert_eq!(c.llc_miss_threshold, 20_000);
-        assert_eq!(c.tc_ms, 6.0);
+        assert!((c.tc_ms - 6.0).abs() < f64::EPSILON);
         c.validate().unwrap();
     }
 
@@ -483,7 +483,7 @@ mod tests {
     fn light_halves_threshold() {
         let c = AnvilConfig::light();
         assert_eq!(c.llc_miss_threshold, 10_000);
-        assert_eq!(c.tc_ms, 6.0);
+        assert!((c.tc_ms - 6.0).abs() < f64::EPSILON);
         c.validate().unwrap();
     }
 
@@ -561,8 +561,8 @@ mod tests {
     fn degraded_mode_defaults_are_armed() {
         let d = AnvilConfig::baseline().degraded;
         assert!(d.enabled);
-        assert_eq!(d.min_sample_survival, 0.5);
-        assert_eq!(d.max_deadline_slip_frac, 0.25);
+        assert!((d.min_sample_survival - 0.5).abs() < f64::EPSILON);
+        assert!((d.max_deadline_slip_frac - 0.25).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -1128,16 +1128,20 @@ mod tests {
         assert_eq!(zero.signature(), StateSignature(0));
 
         // A power-of-two change in one counter moves exactly one nibble.
-        let mut a = DetectorStats::default();
-        a.stage1_windows = 5; // bucket 3
+        let a = DetectorStats {
+            stage1_windows: 5, // bucket 3
+            ..DetectorStats::default()
+        };
         let mut b = a;
         b.stage1_windows = 11; // bucket 4
         assert_ne!(a.signature(), b.signature());
         assert_eq!(a.signature().0 & !0xF, b.signature().0 & !0xF);
 
         // Same magnitudes in *different* fields must not collide.
-        let mut c = DetectorStats::default();
-        c.detections = 5;
+        let c = DetectorStats {
+            detections: 5,
+            ..DetectorStats::default()
+        };
         assert_ne!(a.signature(), c.signature());
 
         // Within-bucket jitter collides on purpose.
@@ -1146,9 +1150,11 @@ mod tests {
         assert_eq!(a.signature(), d.signature());
 
         // The top 16 bits stay free for caller flags.
-        let mut all = DetectorStats::default();
-        all.stage1_windows = u64::MAX;
-        all.samples_lost = u64::MAX;
+        let all = DetectorStats {
+            stage1_windows: u64::MAX,
+            samples_lost: u64::MAX,
+            ..DetectorStats::default()
+        };
         assert_eq!(all.signature().0 >> 48, 0);
     }
 

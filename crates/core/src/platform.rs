@@ -136,10 +136,10 @@ const BATCH_OPS: u64 = 1024;
 /// the event taxonomy in [`epoch`](crate::epoch). A batch **never steps
 /// past** any of these: the detector's window boundary, the DRAM
 /// refresh/compaction deadline, the run horizon, or a scheduler yield
-/// point. Per-event checks match the historical per-op loop exactly
-/// (`>= yield_lo` vs `> yield_hi` encodes the lowest-index tie-break;
-/// the refresh deadline is tested against system time because writebacks
-/// advance memory beyond the core's local clock).
+/// point. Per-event checks match the historical per-op loop exactly (the
+/// yield test compares `(clock, index)` pairs, which encodes the
+/// lowest-index tie-break; the refresh deadline is tested against system
+/// time because writebacks advance memory beyond the core's local clock).
 #[derive(Debug, Clone, Copy)]
 struct BatchHorizons {
     /// [`EpochEvent::WindowBoundary`]: the detector's service deadline.
@@ -148,17 +148,17 @@ struct BatchHorizons {
     refresh: Cycle,
     /// [`EpochEvent::RunEnd`]: the caller's limit.
     run_end: Cycle,
-    /// [`EpochEvent::CoreYield`]: an earlier core reaches this clock.
-    yield_lo: Cycle,
-    /// [`EpochEvent::CoreYield`]: a later core falls strictly behind.
-    yield_hi: Cycle,
+    /// [`EpochEvent::CoreYield`]: the runner-up's `(clock, index)`; the
+    /// batch's core yields once its own pair sorts after it.
+    runner_up: (Cycle, usize),
 }
 
 impl BatchHorizons {
-    /// The event due at (`local`, `sys_now`), if any — checked once per
-    /// op so a batch stops *at* the first horizon it reaches, never past
-    /// it. Check order mirrors [`EpochEvent`]'s tie-break priority.
-    fn event_due(&self, local: Cycle, sys_now: Cycle) -> Option<EpochEvent> {
+    /// The event due when core `idx` is at `local` and memory at
+    /// `sys_now`, if any — checked once per op so a batch stops *at* the
+    /// first horizon it reaches, never past it. Check order mirrors
+    /// [`EpochEvent`]'s tie-break priority.
+    fn event_due(&self, idx: usize, local: Cycle, sys_now: Cycle) -> Option<EpochEvent> {
         if local >= self.window {
             return Some(EpochEvent::WindowBoundary);
         }
@@ -168,7 +168,7 @@ impl BatchHorizons {
         if local >= self.run_end {
             return Some(EpochEvent::RunEnd);
         }
-        if local >= self.yield_lo || local > self.yield_hi {
+        if (local, idx) > self.runner_up {
             return Some(EpochEvent::CoreYield);
         }
         None
@@ -239,6 +239,13 @@ pub struct Platform {
     state_corruptions: Vec<StateCorruption>,
     started: Cycle,
     last_compact: Cycle,
+    /// The run queue: every runnable core as `(clock, index)`, ascending,
+    /// so the scheduler's pick — the lowest-index core at the minimum
+    /// clock — is the head and the batch's yield bound is the next entry.
+    /// Only the running core's clock moves during a batch, so one
+    /// insertion step re-sorts it; anything else that moves clocks or
+    /// suspends cores (a serviced window, adding a program) rebuilds it.
+    queue: Vec<(Cycle, usize)>,
 }
 
 impl Platform {
@@ -289,6 +296,7 @@ impl Platform {
             state_corruptions: Vec::new(),
             started: 0,
             last_compact: 0,
+            queue: Vec::new(),
             config,
         }
     }
@@ -483,16 +491,14 @@ impl Platform {
         if self.cores.is_empty() {
             return Err(PlatformError::NoPrograms);
         }
-        loop {
-            let Some(idx) = self.min_core() else {
-                return Ok(()); // every core suspended
-            };
-            if self.cores[idx].local >= end {
+        self.requeue();
+        // An empty queue: every core is suspended.
+        while let Some(&(local, idx)) = self.queue.first() {
+            if local >= end {
                 break;
             }
             self.run_batch(idx, BATCH_OPS, end)?;
-            self.service_detector();
-            self.maybe_compact();
+            self.after_batch();
         }
         Ok(())
     }
@@ -511,8 +517,9 @@ impl Platform {
             .position(|c| c.process.pid() == pid)
             .ok_or(PlatformError::UnknownPid(pid))?;
         let goal = self.cores[target_idx].ops + ops;
+        self.requeue();
         while self.cores[target_idx].ops < goal {
-            let Some(idx) = self.min_core() else {
+            let Some(&(_, idx)) = self.queue.first() else {
                 return Ok(()); // every core suspended
             };
             if self.cores[target_idx].suspended {
@@ -524,19 +531,43 @@ impl Platform {
                 BATCH_OPS
             };
             self.run_batch(idx, cap, Cycle::MAX)?;
-            self.service_detector();
-            self.maybe_compact();
+            self.after_batch();
         }
         Ok(())
     }
 
+    /// Rebuilds the run queue from the cores.
+    fn requeue(&mut self) {
+        self.queue.clear();
+        self.queue.extend(
+            self.cores
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.suspended)
+                .map(|(i, c)| (c.local, i)),
+        );
+        self.queue.sort_unstable();
+    }
+
+    /// The between-batch work: detector service, then compaction. A
+    /// serviced window charges cores and may suspend some, so it rebuilds
+    /// the run queue.
+    fn after_batch(&mut self) {
+        if self.service_detector(self.queue[0].0) {
+            self.requeue();
+        }
+        self.maybe_compact();
+    }
+
     /// Executes up to `max_ops` operations on core `idx` — the scheduler's
-    /// current pick — stopping at the batch's [`BatchHorizons`]: the
-    /// platform instance of the event taxonomy in [`epoch`](crate::epoch).
-    /// Everything the per-op loop used to recompute (scheduler scan,
-    /// detector deadline test, compaction test) is hoisted here and
-    /// amortized over the batch; the observable schedule is identical.
-    /// Returns the event class that ended the batch.
+    /// current pick, the head of the run queue — stopping at the batch's
+    /// [`BatchHorizons`]: the platform instance of the event taxonomy in
+    /// [`epoch`](crate::epoch). The observable schedule is identical to
+    /// re-picking the minimum core before every op. The bookkeeping is
+    /// O(1) per batch apart from re-sorting the head, which matters
+    /// because batches are short in multi-core runs: cores interleave
+    /// closely in time, so a Table 3 heavy-load cell (four workloads plus
+    /// the attacker) averages 2.3 ops per batch.
     ///
     /// This is the engine's **per-op fallback region**: platform
     /// workloads and attacks mutate cache recency, row buffers, and the
@@ -546,49 +577,37 @@ impl Platform {
     /// collapse to one analytical jump; the horizon discipline — never
     /// step past a window boundary, refresh deadline, or registered
     /// fault site — is shared.
-    fn run_batch(
-        &mut self,
-        idx: usize,
-        max_ops: u64,
-        limit: Cycle,
-    ) -> Result<EpochEvent, PlatformError> {
-        let horizons = self.batch_horizons(idx, limit);
+    fn run_batch(&mut self, idx: usize, max_ops: u64, limit: Cycle) -> Result<(), PlatformError> {
+        let horizons = self.batch_horizons(limit);
         let mut ops = 0u64;
-        loop {
-            self.step_op(idx)?;
+        let result = loop {
+            if let Err(e) = self.step_op(idx) {
+                break Err(e);
+            }
             ops += 1;
             let local = self.cores[idx].local;
-            if let Some(event) = horizons.event_due(local, self.sys.now()) {
-                return Ok(event);
+            // The batch quantum itself counts as a scheduler yield, so
+            // cross-core interleavings replay identically at any batch
+            // size.
+            if horizons.event_due(idx, local, self.sys.now()).is_some() || ops >= max_ops {
+                break Ok(());
             }
-            if ops >= max_ops {
-                // The batch quantum itself: a scheduler yield, so
-                // cross-core interleavings replay identically at any
-                // batch size.
-                return Ok(EpochEvent::CoreYield);
-            }
+        };
+        // Re-sort the head: only its clock moved.
+        self.queue[0].0 = self.cores[idx].local;
+        let mut k = 0;
+        while k + 1 < self.queue.len() && self.queue[k + 1] < self.queue[k] {
+            self.queue.swap(k, k + 1);
+            k += 1;
         }
+        result
     }
 
-    /// Computes the typed bound set one batch of core `idx` runs under.
-    /// Only core `idx` advances inside the batch, so the other cores'
-    /// clocks — and thus these bounds — are invariant for its duration.
-    fn batch_horizons(&self, idx: usize, limit: Cycle) -> BatchHorizons {
-        // The scheduler breaks ties by lowest index: `idx` stays the pick
-        // while it is strictly below every earlier core and no later core
-        // is strictly below it.
-        let mut yield_lo = Cycle::MAX;
-        let mut yield_hi = Cycle::MAX;
-        for (j, c) in self.cores.iter().enumerate() {
-            if c.suspended || j == idx {
-                continue;
-            }
-            if j < idx {
-                yield_lo = yield_lo.min(c.local);
-            } else {
-                yield_hi = yield_hi.min(c.local);
-            }
-        }
+    /// Computes the typed bound set one batch of the queue's head runs
+    /// under. Only the head advances inside the batch, so the other
+    /// cores' clocks — and thus these bounds — are invariant for its
+    /// duration.
+    fn batch_horizons(&self, limit: Cycle) -> BatchHorizons {
         BatchHorizons {
             window: self
                 .detector
@@ -598,18 +617,12 @@ impl Platform {
                 .last_compact
                 .saturating_add(self.config.memory.dram.timing.refresh_period),
             run_end: limit,
-            yield_lo,
-            yield_hi,
+            runner_up: self
+                .queue
+                .get(1)
+                .copied()
+                .unwrap_or((Cycle::MAX, usize::MAX)),
         }
-    }
-
-    fn min_core(&self) -> Option<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.suspended)
-            .min_by_key(|(_, c)| c.local)
-            .map(|(i, _)| i)
     }
 
     /// Pids currently suspended by the response policy.
@@ -690,25 +703,18 @@ impl Platform {
         Ok(())
     }
 
-    /// Runs detector windows whose deadlines every core has passed.
-    fn service_detector(&mut self) {
-        if self.detector.is_none() {
-            return;
-        }
-        let min_local = self
-            .cores
-            .iter()
-            .filter(|c| !c.suspended)
-            .map(|c| c.local)
-            .min()
-            .expect("a runnable core exists");
+    /// Runs detector windows whose deadlines every core has passed, given
+    /// the minimum runnable core clock. Returns whether any window ran.
+    fn service_detector(&mut self, min_local: Cycle) -> bool {
+        let mut serviced = false;
         loop {
             let Some(det) = self.detector.as_mut() else {
-                return;
+                return serviced;
             };
             if det.deadline() > min_local {
-                return;
+                return serviced;
             }
+            serviced = true;
             // Injected faults slip the service past its deadline: PMI
             // delivery jitter plus kernel-thread preemption.
             let slip = self
@@ -1064,6 +1070,101 @@ mod tests {
         p.run_ms(150.0).unwrap();
         assert_eq!(p.total_flips(), 0, "no flips even under heavy load");
         assert!(p.first_detection_ms().is_some(), "still detected");
+    }
+
+    /// An attacker that maps a small arena, then issues one op at a fixed
+    /// virtual address forever.
+    #[derive(Debug)]
+    struct FixedOp(AttackOp);
+
+    impl Attack for FixedOp {
+        fn name(&self) -> &'static str {
+            "fixed-op"
+        }
+
+        fn prepare(&mut self, env: &mut AttackEnv<'_>) -> Result<(), anvil_attacks::AttackError> {
+            let base = env
+                .process
+                .mmap(2 * anvil_mem::PAGE_SIZE, env.frames)
+                .expect("arena fits");
+            assert_eq!(
+                base, 0x1_0000,
+                "the first mapping starts above the null guard"
+            );
+            Ok(())
+        }
+
+        fn next_op(&mut self) -> AttackOp {
+            self.0
+        }
+
+        fn aggressor_paddrs(&self) -> Vec<u64> {
+            Vec::new()
+        }
+
+        fn victim_paddrs(&self) -> Vec<u64> {
+            Vec::new()
+        }
+    }
+
+    /// A workload whose only op lands one byte past its arena.
+    #[derive(Debug)]
+    struct PastTheEnd;
+
+    impl Workload for PastTheEnd {
+        fn name(&self) -> &'static str {
+            "past-the-end"
+        }
+
+        fn arena_bytes(&self) -> u64 {
+            anvil_mem::PAGE_SIZE
+        }
+
+        fn next_op(&mut self) -> anvil_workloads::WorkloadOp {
+            anvil_workloads::WorkloadOp {
+                offset: anvil_mem::PAGE_SIZE,
+                kind: AccessKind::Read,
+                compute_cycles: 1,
+            }
+        }
+    }
+
+    /// Accesses and flushes outside every mapping — the null page, the
+    /// guard gap below the first mapping, one byte past the arena, the
+    /// top of the address space — surface as typed errors naming the
+    /// address; nothing panics.
+    #[test]
+    fn unmapped_addresses_are_typed_errors() {
+        let end = 0x1_0000 + 2 * anvil_mem::PAGE_SIZE;
+        for vaddr in [0, 0xfff, 0xffff, end, u64::MAX] {
+            for flush in [false, true] {
+                let op = if flush {
+                    AttackOp::Clflush { vaddr }
+                } else {
+                    AttackOp::Access {
+                        vaddr,
+                        kind: AccessKind::Read,
+                    }
+                };
+                let mut p = Platform::new(PlatformConfig::with_anvil(AnvilConfig::baseline()));
+                let pid = p.add_attack(Box::new(FixedOp(op))).unwrap();
+                let want = if flush {
+                    PlatformError::UnmappedFlush { pid, vaddr }
+                } else {
+                    PlatformError::UnmappedAccess { pid, vaddr }
+                };
+                assert_eq!(p.run_ms(0.01), Err(want));
+            }
+        }
+        let mut p = Platform::new(PlatformConfig::unprotected());
+        let pid = p.add_workload(Box::new(PastTheEnd)).unwrap();
+        assert_eq!(
+            p.run_core_ops(pid, 10),
+            Err(PlatformError::UnmappedAccess {
+                pid,
+                vaddr: 0x1_0000 + anvil_mem::PAGE_SIZE
+            })
+        );
     }
 }
 

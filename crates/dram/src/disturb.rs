@@ -29,7 +29,7 @@
 
 use crate::geometry::{BankId, RowId};
 use crate::refresh::RefreshSchedule;
-use crate::time::Cycle;
+use crate::time::{Cadence, Cycle};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the disturbance (bit-flip) physics.
@@ -173,7 +173,10 @@ struct WeakCell {
     flipped: bool,
 }
 
-/// Disturbance state of one victim row.
+/// Disturbance state of one victim row: the fields every disturbance
+/// reads, 40 bytes. The row's weak cells, needed only once its
+/// disturbance reaches `min_threshold`, live apart in
+/// [`BankSlab::cells`], so the hot arena stays small.
 #[derive(Debug, Clone)]
 struct RowState {
     /// Activations of the aggressor row above (row + 1) since last refresh.
@@ -187,8 +190,14 @@ struct RowState {
     last_reset: Cycle,
     /// Cheapest weak-cell threshold, for the fast path.
     min_threshold: u64,
-    /// Weak cells, materialized only when `min_threshold` is approached.
-    cells: Option<Vec<WeakCell>>,
+}
+
+/// An activation's time, with the start of the retention period holding
+/// it (see [`RefreshSchedule::last_refresh_in`]).
+#[derive(Debug, Clone, Copy)]
+struct RefreshClock {
+    now: Cycle,
+    period_start: Cycle,
 }
 
 /// Which side of the victim the activated aggressor is on.
@@ -216,6 +225,9 @@ struct BankSlab {
     slots: Vec<RowState>,
     /// `slot -> row` (parallel to `slots`), for bank-wide sweeps.
     rows: Vec<u32>,
+    /// `slot -> weak cells` (parallel to `slots`), materialized only when
+    /// the row's disturbance reaches its `min_threshold`.
+    cells: Vec<Option<Vec<WeakCell>>>,
 }
 
 impl BankSlab {
@@ -230,6 +242,28 @@ impl BankSlab {
         let e = *self.index.get(row as usize)?;
         (e != 0).then(|| &mut self.slots[(e - 1) as usize])
     }
+
+    /// The slot of `victim`, created with zero counters if untracked.
+    fn slot_of(&mut self, victim: RowId, config: &DisturbanceConfig, rows_per_bank: u32) -> usize {
+        if self.index.is_empty() {
+            self.index = vec![0; rows_per_bank as usize];
+        }
+        let entry = &mut self.index[victim.row as usize];
+        if *entry != 0 {
+            return (*entry - 1) as usize;
+        }
+        self.slots.push(RowState {
+            c_hi: 0,
+            c_lo: 0,
+            c_far: 0,
+            last_reset: 0,
+            min_threshold: min_threshold_for(config, victim),
+        });
+        self.rows.push(victim.row);
+        self.cells.push(None);
+        *entry = self.slots.len() as u32;
+        self.slots.len() - 1
+    }
 }
 
 /// Tracks per-row disturbance and produces [`BitFlip`]s.
@@ -241,6 +275,11 @@ impl BankSlab {
 #[derive(Debug)]
 pub struct DisturbanceTracker {
     config: DisturbanceConfig,
+    /// `config.coupling_boost()`, computed once.
+    boost: f64,
+    /// Position in the refresh schedule's retention-period cadence, so
+    /// each victim's lazy-refresh check needs no division.
+    period: Cadence,
     row_bytes: u32,
     rows_per_bank: u32,
     banks: Vec<BankSlab>,
@@ -260,6 +299,8 @@ impl DisturbanceTracker {
             .unwrap_or_else(|e| panic!("invalid disturbance config: {e}"));
         DisturbanceTracker {
             config,
+            boost: config.coupling_boost(),
+            period: Cadence::new(1),
             row_bytes,
             rows_per_bank,
             banks: Vec::new(),
@@ -281,11 +322,12 @@ impl DisturbanceTracker {
     pub fn on_activation(&mut self, row: RowId, now: Cycle, schedule: &RefreshSchedule) {
         // Opening a row restores its charge: reset its own victim state.
         self.reset_row(row, now);
+        let at = self.refresh_clock(now, schedule);
         if row.row > 0 {
             self.disturb(
                 RowId::new(row.bank, row.row - 1),
                 Some(Side::Above),
-                now,
+                at,
                 schedule,
             );
         }
@@ -293,17 +335,30 @@ impl DisturbanceTracker {
             self.disturb(
                 RowId::new(row.bank, row.row + 1),
                 Some(Side::Below),
-                now,
+                at,
                 schedule,
             );
         }
         if self.config.neighbor_reach >= 2 {
             if row.row > 1 {
-                self.disturb(RowId::new(row.bank, row.row - 2), None, now, schedule);
+                self.disturb(RowId::new(row.bank, row.row - 2), None, at, schedule);
             }
             if row.row + 2 < self.rows_per_bank {
-                self.disturb(RowId::new(row.bank, row.row + 2), None, now, schedule);
+                self.disturb(RowId::new(row.bank, row.row + 2), None, at, schedule);
             }
+        }
+    }
+
+    /// `now` with the start of the retention period containing it, from
+    /// the tracked cadence (re-keyed if `schedule` has another period).
+    fn refresh_clock(&mut self, now: Cycle, schedule: &RefreshSchedule) -> RefreshClock {
+        if self.period.interval() != schedule.period() {
+            self.period = Cadence::new(schedule.period());
+        }
+        let (_, into) = self.period.at(now);
+        RefreshClock {
+            now,
+            period_start: now - into,
         }
     }
 
@@ -329,13 +384,14 @@ impl DisturbanceTracker {
         // (crossing activation index, flip) pairs, collected per victim
         // in the per-activation disturb order; the stable sort below
         // restores the exact per-op interleaving across victims.
+        let at = self.refresh_clock(now, schedule);
         let mut pending: Vec<(u64, BitFlip)> = Vec::new();
         if row.row > 0 {
             self.disturb_epoch(
                 RowId::new(row.bank, row.row - 1),
                 Some(Side::Above),
                 n,
-                now,
+                at,
                 schedule,
                 &mut pending,
             );
@@ -345,7 +401,7 @@ impl DisturbanceTracker {
                 RowId::new(row.bank, row.row + 1),
                 Some(Side::Below),
                 n,
-                now,
+                at,
                 schedule,
                 &mut pending,
             );
@@ -356,7 +412,7 @@ impl DisturbanceTracker {
                     RowId::new(row.bank, row.row - 2),
                     None,
                     n,
-                    now,
+                    at,
                     schedule,
                     &mut pending,
                 );
@@ -366,7 +422,7 @@ impl DisturbanceTracker {
                     RowId::new(row.bank, row.row + 2),
                     None,
                     n,
-                    now,
+                    at,
                     schedule,
                     &mut pending,
                 );
@@ -421,12 +477,10 @@ impl DisturbanceTracker {
     /// Repairs a flipped cell (software rewrote the byte). Returns whether
     /// a flipped cell existed at that position.
     pub fn repair(&mut self, row: RowId, col: u32, bit: u8) -> bool {
-        if let Some(cells) = self
-            .banks
-            .get_mut(row.bank.0 as usize)
-            .and_then(|slab| slab.get_mut(row.row))
-            .and_then(|s| s.cells.as_mut())
-        {
+        if let Some(cells) = self.banks.get_mut(row.bank.0 as usize).and_then(|slab| {
+            let e = *slab.index.get(row.row as usize)?;
+            slab.cells.get_mut(e.checked_sub(1)? as usize)?.as_mut()
+        }) {
             for c in cells.iter_mut() {
                 if c.col == col && c.bit == bit && c.flipped {
                     c.flipped = false;
@@ -443,11 +497,7 @@ impl DisturbanceTracker {
             .get(row.bank.0 as usize)
             .and_then(|slab| slab.get(row.row))
             .map_or(0, |s| {
-                effective(
-                    s,
-                    self.config.coupling_boost(),
-                    self.config.distance2_coupling,
-                )
+                effective(s, self.boost, self.config.distance2_coupling)
             })
     }
 
@@ -475,18 +525,20 @@ impl DisturbanceTracker {
             }
             let slots = std::mem::take(&mut slab.slots);
             let rows = std::mem::take(&mut slab.rows);
-            for (s, row) in slots.into_iter().zip(rows) {
+            let cells = std::mem::take(&mut slab.cells);
+            for ((s, row), cells) in slots.into_iter().zip(rows).zip(cells) {
                 // c_far counts too: on a reach-2 device a row disturbed
                 // only at distance 2 still carries real charge loss.
                 let keep = s.c_hi > 0
                     || s.c_lo > 0
                     || s.c_far > 0
-                    || s.cells
+                    || cells
                         .as_ref()
                         .is_some_and(|cells| cells.iter().any(|c| c.flipped));
                 if keep {
                     slab.slots.push(s);
                     slab.rows.push(row);
+                    slab.cells.push(cells);
                     slab.index[row as usize] = slab.slots.len() as u32;
                 } else {
                     slab.index[row as usize] = 0;
@@ -499,40 +551,23 @@ impl DisturbanceTracker {
         &mut self,
         victim: RowId,
         side: Option<Side>,
-        now: Cycle,
+        at: RefreshClock,
         schedule: &RefreshSchedule,
     ) {
-        let boost = self.config.coupling_boost();
+        let now = at.now;
+        let boost = self.boost;
         let far_coupling = self.config.distance2_coupling;
         let bank = victim.bank.0 as usize;
         if bank >= self.banks.len() {
             self.banks.resize_with(bank + 1, BankSlab::default);
         }
         let slab = &mut self.banks[bank];
-        if slab.index.is_empty() {
-            slab.index = vec![0; self.rows_per_bank as usize];
-        }
-        let entry = &mut slab.index[victim.row as usize];
-        let slot = if *entry == 0 {
-            slab.slots.push(RowState {
-                c_hi: 0,
-                c_lo: 0,
-                c_far: 0,
-                last_reset: 0,
-                min_threshold: min_threshold_for(&self.config, victim),
-                cells: None,
-            });
-            slab.rows.push(victim.row);
-            *entry = slab.slots.len() as u32;
-            slab.slots.len() - 1
-        } else {
-            (*entry - 1) as usize
-        };
+        let slot = slab.slot_of(victim, &self.config, self.rows_per_bank);
         let state = &mut slab.slots[slot];
 
         // Lazy auto-refresh: if the schedule refreshed this row since we
         // last updated it, the charge was restored then.
-        if let Some(last) = schedule.last_refresh(victim.row, now) {
+        if let Some(last) = schedule.last_refresh_in(victim.row, now, at.period_start) {
             if last > state.last_reset {
                 state.c_hi = 0;
                 state.c_lo = 0;
@@ -553,10 +588,8 @@ impl DisturbanceTracker {
         }
         // Materialize the weak cells and flip every cell whose threshold
         // has been crossed.
-        if state.cells.is_none() {
-            state.cells = Some(sample_cells(&self.config, victim, self.row_bytes));
-        }
-        let cells = state.cells.as_mut().expect("just materialized");
+        let (config, row_bytes) = (&self.config, self.row_bytes);
+        let cells = slab.cells[slot].get_or_insert_with(|| sample_cells(config, victim, row_bytes));
         for cell in cells.iter_mut() {
             if !cell.flipped && d >= cell.threshold {
                 cell.flipped = true;
@@ -583,42 +616,25 @@ impl DisturbanceTracker {
         victim: RowId,
         side: Option<Side>,
         n: u64,
-        now: Cycle,
+        at: RefreshClock,
         schedule: &RefreshSchedule,
         pending: &mut Vec<(u64, BitFlip)>,
     ) {
-        let boost = self.config.coupling_boost();
+        let now = at.now;
+        let boost = self.boost;
         let far_coupling = self.config.distance2_coupling;
         let bank = victim.bank.0 as usize;
         if bank >= self.banks.len() {
             self.banks.resize_with(bank + 1, BankSlab::default);
         }
         let slab = &mut self.banks[bank];
-        if slab.index.is_empty() {
-            slab.index = vec![0; self.rows_per_bank as usize];
-        }
-        let entry = &mut slab.index[victim.row as usize];
-        let slot = if *entry == 0 {
-            slab.slots.push(RowState {
-                c_hi: 0,
-                c_lo: 0,
-                c_far: 0,
-                last_reset: 0,
-                min_threshold: min_threshold_for(&self.config, victim),
-                cells: None,
-            });
-            slab.rows.push(victim.row);
-            *entry = slab.slots.len() as u32;
-            slab.slots.len() - 1
-        } else {
-            (*entry - 1) as usize
-        };
+        let slot = slab.slot_of(victim, &self.config, self.rows_per_bank);
         let state = &mut slab.slots[slot];
 
         // Lazy auto-refresh, once up front: the per-op path re-checks on
         // every activation, but all `n` share the same `now`, so after the
         // first check `last > state.last_reset` can never hold again.
-        if let Some(last) = schedule.last_refresh(victim.row, now) {
+        if let Some(last) = schedule.last_refresh_in(victim.row, now, at.period_start) {
             if last > state.last_reset {
                 state.c_hi = 0;
                 state.c_lo = 0;
@@ -648,10 +664,8 @@ impl DisturbanceTracker {
         // The per-op path materializes cells at the first activation that
         // reaches `min_threshold`; monotonicity makes "materialized by the
         // end of the epoch" the same condition.
-        if state.cells.is_none() {
-            state.cells = Some(sample_cells(&self.config, victim, self.row_bytes));
-        }
-        let cells = state.cells.as_mut().expect("just materialized");
+        let (config, row_bytes) = (&self.config, self.row_bytes);
+        let cells = slab.cells[slot].get_or_insert_with(|| sample_cells(config, victim, row_bytes));
         for cell in cells.iter_mut() {
             if !cell.flipped && d_final >= cell.threshold {
                 cell.flipped = true;
@@ -687,9 +701,20 @@ fn effective(s: &RowState, boost: f64, far_coupling: f64) -> u64 {
 /// [`effective`] so the epoch path's "what would the counters read after
 /// `k` activations" probe uses bit-identical arithmetic (same `f64`
 /// truncations) as the per-op path.
+///
+/// A zero count contributes exactly zero through its `f64` term (the
+/// boost and coupling are finite and non-negative), so those conversions
+/// are skipped: one-sided disturbance, the common case, stays integer.
 fn effective_counts(c_hi: u64, c_lo: u64, c_far: u64, boost: f64, far_coupling: f64) -> u64 {
     let min = c_hi.min(c_lo);
-    c_hi + c_lo + (2.0 * boost * min as f64) as u64 + (far_coupling * c_far as f64) as u64
+    let mut d = c_hi + c_lo;
+    if min > 0 {
+        d += (2.0 * boost * min as f64) as u64;
+    }
+    if c_far > 0 {
+        d += (far_coupling * c_far as f64) as u64;
+    }
+    d
 }
 
 /// splitmix64: cheap, well-distributed stateless hash.
@@ -1023,7 +1048,7 @@ mod arena_equivalence {
         config: DisturbanceConfig,
         row_bytes: u32,
         rows_per_bank: u32,
-        rows: HashMap<RowId, RowState>,
+        rows: HashMap<RowId, (RowState, Option<Vec<WeakCell>>)>,
         flips: Vec<BitFlip>,
         total_flips: u64,
     }
@@ -1069,7 +1094,7 @@ mod arena_equivalence {
         }
 
         fn reset_row(&mut self, row: RowId, now: Cycle) {
-            if let Some(s) = self.rows.get_mut(&row) {
+            if let Some((s, _)) = self.rows.get_mut(&row) {
                 s.c_hi = 0;
                 s.c_lo = 0;
                 s.c_far = 0;
@@ -1079,7 +1104,7 @@ mod arena_equivalence {
 
         fn reset_bank(&mut self, bank: BankId, now: Cycle) -> usize {
             let mut reset = 0;
-            for (row, s) in &mut self.rows {
+            for (row, (s, _)) in &mut self.rows {
                 if row.bank == bank && (s.c_hi > 0 || s.c_lo > 0 || s.c_far > 0) {
                     s.c_hi = 0;
                     s.c_lo = 0;
@@ -1092,7 +1117,7 @@ mod arena_equivalence {
         }
 
         fn disturbance_of(&self, row: RowId) -> u64 {
-            self.rows.get(&row).map_or(0, |s| {
+            self.rows.get(&row).map_or(0, |(s, _)| {
                 effective(
                     s,
                     self.config.coupling_boost(),
@@ -1116,13 +1141,17 @@ mod arena_equivalence {
             let far_coupling = self.config.distance2_coupling;
             let config = self.config;
             let row_bytes = self.row_bytes;
-            let state = self.rows.entry(victim).or_insert_with(|| RowState {
-                c_hi: 0,
-                c_lo: 0,
-                c_far: 0,
-                last_reset: 0,
-                min_threshold: min_threshold_for(&config, victim),
-                cells: None,
+            let (state, state_cells) = self.rows.entry(victim).or_insert_with(|| {
+                (
+                    RowState {
+                        c_hi: 0,
+                        c_lo: 0,
+                        c_far: 0,
+                        last_reset: 0,
+                        min_threshold: min_threshold_for(&config, victim),
+                    },
+                    None,
+                )
             });
             if let Some(last) = schedule.last_refresh(victim.row, now) {
                 if last > state.last_reset {
@@ -1141,10 +1170,7 @@ mod arena_equivalence {
             if d < state.min_threshold {
                 return;
             }
-            if state.cells.is_none() {
-                state.cells = Some(sample_cells(&config, victim, row_bytes));
-            }
-            let cells = state.cells.as_mut().expect("just materialized");
+            let cells = state_cells.get_or_insert_with(|| sample_cells(&config, victim, row_bytes));
             let mut new_flips = Vec::new();
             for cell in cells.iter_mut() {
                 if !cell.flipped && d >= cell.threshold {
@@ -1173,18 +1199,28 @@ mod arena_equivalence {
         /// Each op is a `(tag, bank, row, jump)` tuple (the vendored
         /// proptest has no `prop_oneof`): tags 0-9 activate (hammering
         /// dominates the mix), 10 resets a row, 11 resets a bank, 12
-        /// compacts the arena, 13 jumps time (crossing auto-refreshes).
+        /// compacts the arena, 13 jumps time (crossing auto-refreshes),
+        /// 14 steps time back (the arena's tracked refresh period must
+        /// follow). Half the cases postpone refresh commands.
         #[test]
         fn dense_arena_matches_hashmap_reference(
             ops in prop::collection::vec(
-                (0u32..14, 0..BANKS, 0..ROWS, 1u64..5_000_000),
+                (0u32..15, 0..BANKS, 0..ROWS, 1u64..5_000_000),
                 1..400,
             ),
             reach in 1u32..=2,
+            postpone in 0u32..2,
         ) {
             let config = tiny_config(reach);
             let timing = DramTiming::default();
-            let sched = RefreshSchedule::new(&timing, ROWS);
+            let mut sched = RefreshSchedule::new(&timing, ROWS);
+            if postpone == 1 {
+                sched.set_postpone(Some(anvil_faults::RefreshPostpone {
+                    permille: 700,
+                    max_postpone: 40_000,
+                    seed: 11,
+                }));
+            }
             let mut arena = DisturbanceTracker::new(config, 256, ROWS);
             let mut reference = HashMapModel::new(config, 256, ROWS);
             let mut now: Cycle = 1;
@@ -1208,7 +1244,8 @@ mod arena_equivalence {
                         );
                     }
                     12 => arena.compact(),
-                    _ => now += d,
+                    13 => now += d,
+                    _ => now = now.saturating_sub(d / 2).max(1),
                 }
             }
             for b in 0..BANKS {

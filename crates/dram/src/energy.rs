@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn report_handles_zero_interval() {
         let r = report_for(64.0, 0.0);
-        assert_eq!(r.refresh_mw(), 0.0);
-        assert_eq!(r.refresh_share(), 0.0);
+        assert!(r.refresh_mw().abs() < f64::EPSILON);
+        assert!(r.refresh_share().abs() < f64::EPSILON);
     }
 }

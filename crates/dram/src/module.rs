@@ -8,7 +8,7 @@ use crate::mapping::AddressMapping;
 use crate::mitigation::{MitigationKind, MitigationState};
 use crate::refresh::RefreshSchedule;
 use crate::stats::DramStats;
-use crate::time::Cycle;
+use crate::time::{Cadence, Cycle};
 use anvil_faults::RefreshPostpone;
 use serde::{Deserialize, Serialize};
 
@@ -128,6 +128,10 @@ pub struct DramModule {
     stats: DramStats,
     flips: Vec<DramFlip>,
     last_refresh_cmd: u64,
+    /// Position in the controller's tREFI command cadence.
+    commands: Cadence,
+    /// Position in the schedule's command cadence, for tRFC blocking.
+    stalls: Cadence,
 }
 
 impl DramModule {
@@ -157,6 +161,8 @@ impl DramModule {
             stats: DramStats::default(),
             flips: Vec::new(),
             last_refresh_cmd: 0,
+            commands: Cadence::new(config.timing.t_refi),
+            stalls: Cadence::new(schedule.command_interval()),
             config,
         }
     }
@@ -211,9 +217,9 @@ impl DramModule {
         // Refresh commands precharge all banks; apply any that elapsed
         // since the previous access. A postponed command precharges late:
         // until it completes, the cadence counts the previous command.
-        let mut cmd = now / self.config.timing.t_refi;
+        let (mut cmd, since_cmd) = self.commands.at(now);
         if let Some(pp) = self.schedule.postpone() {
-            if cmd > 0 && now < cmd * self.config.timing.t_refi + pp.delay_for(cmd) {
+            if cmd > 0 && since_cmd < pp.delay_for(cmd) {
                 cmd -= 1;
             }
         }
@@ -223,7 +229,13 @@ impl DramModule {
         }
 
         let location = self.mapping.location_of(paddr);
-        let stall = self.schedule.blocking_delay(now, self.config.timing.t_rfc);
+        // tRFC blocking: the rank is busy for `t_rfc` after each command
+        // (`RefreshSchedule::blocking_delay`, without its division).
+        let stall = self
+            .config
+            .timing
+            .t_rfc
+            .saturating_sub(self.stalls.at(now).1);
         let outcome = self.buffers.access(location.bank.0, location.row);
         let service = match outcome {
             RowBufferOutcome::Hit => self.config.timing.row_hit,
@@ -575,5 +587,88 @@ impl DramModule {
             now,
             clock,
         )
+    }
+}
+
+/// The refresh bookkeeping `access` did by division on every call before
+/// it tracked the command cadences, kept as a reference model.
+#[cfg(test)]
+mod cadence_reference {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Row buffers driven by the division form of the refresh-command
+    /// test, and the division form of the tRFC stall.
+    struct DivisionModel {
+        timing: crate::timing::DramTiming,
+        schedule: RefreshSchedule,
+        buffers: RowBuffers,
+        last_refresh_cmd: u64,
+    }
+
+    impl DivisionModel {
+        fn access(&mut self, location: DramLocation, now: Cycle) -> (Cycle, RowBufferOutcome) {
+            let mut cmd = now / self.timing.t_refi;
+            if let Some(pp) = self.schedule.postpone() {
+                if cmd > 0 && now < cmd * self.timing.t_refi + pp.delay_for(cmd) {
+                    cmd -= 1;
+                }
+            }
+            if cmd > self.last_refresh_cmd {
+                self.buffers.precharge_all();
+                self.last_refresh_cmd = cmd;
+            }
+            let stall = self.schedule.blocking_delay(now, self.timing.t_rfc);
+            let outcome = self.buffers.access(location.bank.0, location.row);
+            let service = match outcome {
+                RowBufferOutcome::Hit => self.timing.row_hit,
+                RowBufferOutcome::Opened => self.timing.row_open,
+                RowBufferOutcome::Conflict => self.timing.row_conflict,
+            };
+            (stall + service, outcome)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Latency and row-buffer outcome of every access match the
+        /// division model, with and without refresh postponement, over
+        /// small steps (inside one tREFI), long jumps and steps back.
+        #[test]
+        fn cadences_match_division_model(
+            postpone in 0u32..3,
+            steps in prop::collection::vec((0u32..8, 0u64..4, 0u64..60_000), 1..300),
+        ) {
+            let config = DramConfig::tiny();
+            let mut dram = DramModule::new(config);
+            if postpone > 0 {
+                dram.set_refresh_postpone(Some(RefreshPostpone {
+                    permille: 400 * postpone,
+                    max_postpone: 50_000,
+                    seed: 5,
+                }));
+            }
+            let mut model = DivisionModel {
+                timing: config.timing,
+                schedule: *dram.schedule(),
+                buffers: RowBuffers::with_policy(config.geometry.total_banks(), config.row_buffer),
+                last_refresh_cmd: 0,
+            };
+            let row_stride = u64::from(config.geometry.row_bytes)
+                * u64::from(config.geometry.total_banks());
+            let mut now: Cycle = 0;
+            for &(tag, row, d) in &steps {
+                now = match tag {
+                    0 => now.saturating_sub(d),
+                    1 => now + d * 1_000,
+                    _ => now + d / 200,
+                };
+                let paddr = row * row_stride;
+                let got = dram.access(paddr, now);
+                let want = model.access(got.location, now);
+                prop_assert_eq!((got.latency, got.outcome), want, "at {}", now);
+            }
+        }
     }
 }

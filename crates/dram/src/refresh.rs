@@ -102,12 +102,31 @@ impl RefreshSchedule {
     /// The most recent time at or before `now` at which `row` was
     /// auto-refreshed, or `None` if it has not been refreshed yet.
     pub fn last_refresh(&self, row: u32, now: Cycle) -> Option<Cycle> {
+        let period = self.period();
+        self.last_refresh_in(row, now, now / period * period)
+    }
+
+    /// [`last_refresh`](Self::last_refresh), given the start of the
+    /// retention period containing `now` (`now / period * period`) — which
+    /// a caller stepping a monotone clock tracks with a
+    /// [`Cadence`](crate::time::Cadence) instead of dividing per row.
+    pub(crate) fn last_refresh_in(
+        &self,
+        row: u32,
+        now: Cycle,
+        period_start: Cycle,
+    ) -> Option<Cycle> {
         let phase = self.phase_of(row);
         let period = self.period();
-        if now < phase {
+        // `phase < period`, so the row's latest nominal refresh is in this
+        // period if its phase has passed, else in the previous one.
+        let nominal = if now - period_start >= phase {
+            period_start + phase
+        } else if period_start >= period {
+            period_start - period + phase
+        } else {
             return None;
-        }
-        let nominal = (now - phase) / period * period + phase;
+        };
         if self.postpone.is_none() {
             return Some(nominal);
         }
@@ -133,6 +152,11 @@ impl RefreshSchedule {
             None => self.phase_of(row),
             Some(last) => last + self.period(),
         }
+    }
+
+    /// The spacing of refresh commands in this schedule.
+    pub(crate) fn command_interval(&self) -> Cycle {
+        self.t_refi
     }
 
     /// Extra latency an access arriving at `now` suffers because the rank
@@ -266,5 +290,69 @@ mod tests {
         let s = RefreshSchedule::new(&t, 32_768);
         let sd = RefreshSchedule::new(&d, 32_768);
         assert!(sd.period() <= s.period() / 2 + sd.t_refi);
+    }
+
+    /// The per-query division form `last_refresh` had before the period
+    /// start became a caller-tracked input: the reference the current
+    /// form must match.
+    fn last_refresh_by_division(s: &RefreshSchedule, row: u32, now: Cycle) -> Option<Cycle> {
+        let phase = s.phase_of(row);
+        let period = s.period();
+        if now < phase {
+            return None;
+        }
+        let nominal = (now - phase) / period * period + phase;
+        if s.postpone.is_none() {
+            return Some(nominal);
+        }
+        let actual = nominal + s.postpone_delay(nominal / s.t_refi);
+        if actual <= now {
+            Some(actual)
+        } else if nominal >= period {
+            let prev = nominal - period;
+            Some(prev + s.postpone_delay(prev / s.t_refi))
+        } else {
+            None
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `last_refresh` (period start by division) and `last_refresh_in`
+        /// fed by a `Cadence` over arbitrary forward and backward steps
+        /// agree with the reference, with and without postponement.
+        #[test]
+        fn last_refresh_matches_division_reference(
+            rows in 1u32..40_000,
+            postpone in 0u32..3,
+            queries in proptest::collection::vec((0u32..40_000, 0u32..6, 0u64..400_000_000), 1..200),
+        ) {
+            let mut s = RefreshSchedule::new(&DramTiming::default(), rows);
+            if postpone > 0 {
+                s.set_postpone(Some(RefreshPostpone {
+                    permille: 500 * postpone,
+                    max_postpone: 20_000,
+                    seed: u64::from(postpone),
+                }));
+            }
+            let mut cadence = crate::time::Cadence::new(s.period());
+            let mut now: Cycle = 0;
+            for &(row, tag, d) in &queries {
+                now = match tag {
+                    0 => now.saturating_sub(d / 1_000),
+                    1 => d,
+                    // Exactly on the row's nominal refresh, or one cycle
+                    // before it: the boundaries of the period arithmetic.
+                    2 => (d % 4) * s.period() + s.phase_of(row),
+                    3 => ((d % 4) * s.period() + s.phase_of(row)).saturating_sub(1),
+                    _ => now + d / 10_000,
+                };
+                let want = last_refresh_by_division(&s, row, now);
+                proptest::prop_assert_eq!(s.last_refresh(row, now), want);
+                let (k, _) = cadence.at(now);
+                proptest::prop_assert_eq!(s.last_refresh_in(row, now, k * s.period()), want);
+            }
+        }
     }
 }

@@ -43,7 +43,7 @@ mod tests {
 
     #[test]
     fn hit_rate_handles_zero() {
-        assert_eq!(DramStats::default().row_hit_rate(), 0.0);
+        assert!(DramStats::default().row_hit_rate().abs() < f64::EPSILON);
         let s = DramStats {
             accesses: 10,
             row_hits: 4,

@@ -15,6 +15,49 @@
 /// convert through [`CpuClock`].
 pub type Cycle = u64;
 
+/// `now / interval` and `now % interval` for a clock that mostly moves
+/// forward in small steps: the interval containing the last query is
+/// kept, so a query inside it costs one subtraction and a compare, and
+/// only a query in another interval (later or earlier) divides. The DRAM
+/// hot paths ask this on every access, with `now` advancing by tens of
+/// cycles against intervals of thousands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cadence {
+    interval: Cycle,
+    index: u64,
+    start: Cycle,
+}
+
+impl Cadence {
+    /// A cadence of `interval` cycles, positioned at time 0.
+    pub(crate) fn new(interval: Cycle) -> Self {
+        debug_assert!(interval > 0, "cadence interval must be non-zero");
+        Cadence {
+            interval,
+            index: 0,
+            start: 0,
+        }
+    }
+
+    /// The interval length.
+    pub(crate) fn interval(&self) -> Cycle {
+        self.interval
+    }
+
+    /// `(now / interval, now % interval)`.
+    pub(crate) fn at(&mut self, now: Cycle) -> (u64, Cycle) {
+        // Wraps to a huge value when `now` precedes the kept interval, so
+        // one compare catches both directions.
+        let into = now.wrapping_sub(self.start);
+        if into < self.interval {
+            return (self.index, into);
+        }
+        self.index = now / self.interval;
+        self.start = self.index * self.interval;
+        (self.index, now - self.start)
+    }
+}
+
 /// Converts between wall-clock time and CPU cycles for a fixed-frequency core.
 ///
 /// # Examples
@@ -117,7 +160,7 @@ mod tests {
         let c = CpuClock::new(1_000_000_000); // 1 GHz: 1 cycle == 1 ns
         assert_eq!(c.ns_to_cycles(338.0), 338);
         assert_eq!(c.us_to_cycles(7.8), 7800);
-        assert_eq!(c.cycles_to_us(7800), 7.8);
+        assert!((c.cycles_to_us(7800) - 7.8).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -131,5 +174,35 @@ mod tests {
         // The DDR3 refresh command interval of 7.8 us from the paper.
         let c = CpuClock::SANDY_BRIDGE_2_6GHZ;
         assert_eq!(c.us_to_cycles(7.8), 20_280);
+    }
+}
+
+#[cfg(test)]
+mod cadence_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The kept interval never changes an answer: every query equals
+        /// plain division, for forward steps, long jumps and steps back.
+        #[test]
+        fn cadence_matches_division(
+            interval in 1u64..50_000,
+            steps in prop::collection::vec((0u32..10, 0u64..200_000), 1..300),
+        ) {
+            let mut c = Cadence::new(interval);
+            let mut now: Cycle = 0;
+            for &(tag, d) in &steps {
+                now = match tag {
+                    0 => now.saturating_sub(d),
+                    1 => now.saturating_add(d.saturating_mul(1_000)),
+                    2 => u64::MAX - d,
+                    _ => now.saturating_add(d / 100),
+                };
+                prop_assert_eq!(c.at(now), (now / interval, now % interval));
+            }
+        }
     }
 }

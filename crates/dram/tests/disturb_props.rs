@@ -148,7 +148,7 @@ fn activate_epoch_preserves_flip_order_across_reach2_victims() {
     config.distance2_coupling = 0.4;
     let timing = DramTiming::default();
     let s = RefreshSchedule::new(&timing, 32_768);
-    let mk = || DisturbanceTracker::new(config.clone(), 8192, 32_768);
+    let mk = || DisturbanceTracker::new(config, 8192, 32_768);
     let (mut per_op, mut epoch) = (mk(), mk());
     let aggressor = RowId::new(BankId(0), 500);
     let start = s.last_refresh(500, s.period() * 4).unwrap() + 1;

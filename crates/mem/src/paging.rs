@@ -8,7 +8,7 @@
 //! with pluggable frame-allocation policies.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Page size used throughout (4 KB, as on the paper's test system).
 pub const PAGE_SIZE: u64 = 4096;
@@ -117,10 +117,26 @@ impl std::fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
+/// Frame-number sentinel marking a virtual page that is not mapped.
+const UNMAPPED: u64 = u64::MAX;
+
 /// A single-level page table mapping virtual page numbers to frames.
+///
+/// Dense: one frame number per virtual page, indexed by `vpn - base`,
+/// covering the span from the lowest to the highest mapped page. A
+/// process's mappings are one contiguous run upward from its first
+/// `mmap` (see [`Process`](crate::Process)), so the span is exactly the
+/// mapped pages and a translation is one subtraction and one array
+/// read, with no hashing. Memory is proportional to the span, not to the
+/// mapped count, so tables are meant for compact address spaces.
 #[derive(Debug, Default, Clone)]
 pub struct PageTable {
-    entries: HashMap<u64, u64>,
+    /// The virtual page number `frames[0]` maps.
+    base: u64,
+    /// `frames[vpn - base]`: the frame of `vpn`, or [`UNMAPPED`].
+    frames: Vec<u64>,
+    /// Number of entries that are not [`UNMAPPED`].
+    mapped: usize,
 }
 
 impl PageTable {
@@ -134,31 +150,67 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if `vpn` is already mapped (the simulator has no demand
-    /// remapping).
+    /// remapping) or `pfn` is `u64::MAX` (no such frame exists).
     pub fn map(&mut self, vpn: u64, pfn: u64) {
-        let prev = self.entries.insert(vpn, pfn);
-        assert!(prev.is_none(), "vpn {vpn:#x} double-mapped");
+        assert!(pfn != UNMAPPED, "pfn {pfn:#x} out of range");
+        if self.frames.is_empty() {
+            self.base = vpn;
+        } else if vpn < self.base {
+            // Grow downward: shift the existing span up.
+            let grow = usize::try_from(self.base - vpn).expect("span fits in memory");
+            self.frames
+                .splice(0..0, std::iter::repeat_n(UNMAPPED, grow));
+            self.base = vpn;
+        }
+        let i = usize::try_from(vpn - self.base).expect("span fits in memory");
+        if i >= self.frames.len() {
+            self.frames.resize(i + 1, UNMAPPED);
+        }
+        let slot = &mut self.frames[i];
+        assert!(*slot == UNMAPPED, "vpn {vpn:#x} double-mapped");
+        *slot = pfn;
+        self.mapped += 1;
     }
 
     /// Removes the mapping for `vpn`, returning the frame it covered.
     pub fn unmap(&mut self, vpn: u64) -> Option<u64> {
-        self.entries.remove(&vpn)
+        let slot = self.slot_mut(vpn)?;
+        let pfn = std::mem::replace(slot, UNMAPPED);
+        (pfn != UNMAPPED).then(|| {
+            self.mapped -= 1;
+            pfn
+        })
     }
 
-    /// Translates a virtual address to physical.
+    /// The frame `vpn` maps to, if any.
+    fn frame(&self, vpn: u64) -> Option<u64> {
+        let i = usize::try_from(vpn.checked_sub(self.base)?).ok()?;
+        self.frames.get(i).copied().filter(|&pfn| pfn != UNMAPPED)
+    }
+
+    fn slot_mut(&mut self, vpn: u64) -> Option<&mut u64> {
+        let i = usize::try_from(vpn.checked_sub(self.base)?).ok()?;
+        self.frames.get_mut(i)
+    }
+
+    /// Translates a virtual address to physical. Addresses outside every
+    /// mapping — including the null page and `u64::MAX` — return `None`.
     pub fn translate(&self, vaddr: u64) -> Option<u64> {
-        let pfn = self.entries.get(&(vaddr >> PAGE_SHIFT))?;
+        let pfn = self.frame(vaddr >> PAGE_SHIFT)?;
         Some((pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)))
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
+        self.mapped
     }
 
-    /// Iterates over (vpn, pfn) pairs in unspecified order.
+    /// Iterates over (vpn, pfn) pairs in ascending vpn order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.entries.iter().map(|(&v, &p)| (v, p))
+        (self.base..)
+            .zip(&self.frames)
+            .filter(|&(_, &pfn)| pfn != UNMAPPED)
+            .map(|(vpn, &pfn)| (vpn, pfn))
     }
 }
 
@@ -227,5 +279,105 @@ mod tests {
         let mut t = PageTable::new();
         t.map(1, 2);
         t.map(1, 3);
+    }
+
+    #[test]
+    fn translate_outside_the_span_is_none() {
+        let mut t = PageTable::new();
+        t.map(0x10, 0x99);
+        t.map(0x11, 0x9a);
+        for vaddr in [0, 0xfff, 0xf_fff, 0x12_000, u64::MAX, u64::MAX - PAGE_SIZE] {
+            assert_eq!(t.translate(vaddr), None, "{vaddr:#x}");
+        }
+        assert_eq!(PageTable::new().translate(0), None);
+    }
+
+    #[test]
+    fn maps_below_the_span_and_iterates_in_order() {
+        let mut t = PageTable::new();
+        t.map(0x20, 7);
+        t.map(0x1e, 5);
+        t.map(0x23, 9);
+        assert_eq!(t.translate(0x1e_004), Some(0x5_004));
+        assert_eq!(t.translate(0x1f_000), None, "hole inside the span");
+        assert_eq!(t.mapped_pages(), 3);
+        let pairs: Vec<_> = t.iter().collect();
+        assert_eq!(pairs, vec![(0x1e, 5), (0x20, 7), (0x23, 9)]);
+        assert_eq!(t.unmap(0x1f), None, "holes unmap to nothing");
+        assert_eq!(t.unmap(0x1e), Some(5));
+        assert_eq!(t.mapped_pages(), 2);
+        t.map(0x1e, 6);
+        assert_eq!(t.translate(0x1e_000), Some(0x6_000));
+    }
+}
+
+/// The hashed table the dense [`PageTable`] replaced, kept as a reference
+/// model: both must translate, map, unmap and count identically under
+/// arbitrary operation sequences.
+#[cfg(test)]
+mod reference_model {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    struct HashMapTable {
+        entries: HashMap<u64, u64>,
+    }
+
+    impl HashMapTable {
+        /// Maps an unmapped page; returns false (and changes nothing) for
+        /// a mapped one, where the dense table would panic.
+        fn map(&mut self, vpn: u64, pfn: u64) -> bool {
+            if self.entries.contains_key(&vpn) {
+                return false;
+            }
+            self.entries.insert(vpn, pfn);
+            true
+        }
+
+        fn translate(&self, vaddr: u64) -> Option<u64> {
+            let pfn = self.entries.get(&(vaddr >> PAGE_SHIFT))?;
+            Some((pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Each op is `(tag, vpn offset, pfn, page offset)`: tags 0-5 map
+        /// (skipping already-mapped pages, which both tables reject),
+        /// 6-7 unmap, 8-9 translate. VPNs sit near a base that varies per
+        /// case, so the dense table grows both up and down.
+        #[test]
+        fn dense_table_matches_hashmap_reference(
+            base in 0u64..1 << 20,
+            ops in prop::collection::vec((0u32..10, 0u64..96, 0u64..1 << 30, 0u64..PAGE_SIZE), 1..300),
+        ) {
+            let mut dense = PageTable::new();
+            let mut reference = HashMapTable::default();
+            for &(tag, off, pfn, byte) in &ops {
+                let vpn = (base + off).saturating_sub(32);
+                match tag {
+                    0..=5 => {
+                        if reference.map(vpn, pfn) {
+                            dense.map(vpn, pfn);
+                        }
+                    }
+                    6 | 7 => prop_assert_eq!(dense.unmap(vpn), reference.entries.remove(&vpn)),
+                    _ => {
+                        let vaddr = (vpn << PAGE_SHIFT) | byte;
+                        prop_assert_eq!(dense.translate(vaddr), reference.translate(vaddr));
+                    }
+                }
+                prop_assert_eq!(dense.mapped_pages(), reference.entries.len());
+            }
+            let mut want: Vec<(u64, u64)> = reference.entries.iter().map(|(&v, &p)| (v, p)).collect();
+            want.sort_unstable();
+            prop_assert_eq!(dense.iter().collect::<Vec<_>>(), want);
+            for probe in [0, u64::MAX, base << PAGE_SHIFT, (base + 200) << PAGE_SHIFT] {
+                prop_assert_eq!(dense.translate(probe), reference.translate(probe));
+            }
+        }
     }
 }

@@ -218,4 +218,64 @@ mod tests {
         let pa = p.translate(va).unwrap();
         assert_eq!(p.translate(va + 123), Some(pa + 123));
     }
+
+    /// Translation edge cases: every address outside the mapped arena —
+    /// the null page, the guard gap below the first mapping, one byte
+    /// past the end, and the top of the address space — is `None`.
+    #[test]
+    fn unmapped_edges_translate_to_none() {
+        let mut f = frames();
+        let mut p = Process::new(1, "t");
+        let len = 3 * PAGE_SIZE;
+        let va = p.mmap(len, &mut f).unwrap();
+        assert_eq!(va, 0x1_0000);
+        for vaddr in [
+            0,
+            1,
+            0xfff,
+            va - 1,
+            va + len,
+            u64::MAX,
+            u64::MAX - PAGE_SIZE,
+        ] {
+            assert_eq!(p.translate(vaddr), None, "{vaddr:#x}");
+        }
+        assert!(p.translate(va + len - 1).is_some(), "last mapped byte");
+    }
+
+    /// A sample whose address the PEBS fault model corrupted (shifted by
+    /// whole pages, wrapping at the top) resolves to `None` through the
+    /// faulty walk whenever the shifted address leaves the arena.
+    #[test]
+    fn corrupt_sample_addresses_translate_to_none() {
+        use anvil_faults::{
+            FaultRng, PebsFaults, PebsInjector, SampleFate, TranslationFaults, TranslationInjector,
+        };
+        let mut f = frames();
+        let mut p = Process::new(1, "t");
+        let len = 2 * PAGE_SIZE;
+        let va = p.mmap(len, &mut f).unwrap();
+        let mut pebs = PebsInjector::new(
+            PebsFaults {
+                drop_rate: 0.0,
+                burst_len: 0,
+                corrupt_rate: 1.0,
+            },
+            FaultRng::new(7),
+        );
+        let mut walk = TranslationInjector::new(
+            TranslationFaults {
+                fail_rate: 0.0,
+                stale_rate: 0.0,
+            },
+            FaultRng::new(8),
+        );
+        for vaddr in [va + len - 1, u64::MAX - 1, u64::MAX - 3 * PAGE_SIZE] {
+            let SampleFate::Corrupt(bad) = pebs.on_sample(vaddr) else {
+                panic!("corrupt_rate 1.0 corrupts every sample");
+            };
+            assert!(bad < va || bad >= va + len, "{bad:#x} left the arena");
+            assert_eq!(p.translate_with_faults(bad, &mut walk), None, "{bad:#x}");
+        }
+    }
 }

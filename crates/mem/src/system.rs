@@ -252,9 +252,9 @@ impl MemorySystem {
         let now = now.max(self.now);
         self.now = now;
         let write = matches!(kind, AccessKind::Write);
-        let mut wb = std::mem::take(&mut self.wb_scratch);
-        let mut pf = std::mem::take(&mut self.pf_scratch);
-        let (level, _latency) = self.hierarchy.access_into(paddr, write, &mut wb, &mut pf);
+        let (level, _latency) =
+            self.hierarchy
+                .access_into(paddr, write, &mut self.wb_scratch, &mut self.pf_scratch);
 
         self.stats.accesses = self.stats.accesses.saturating_add(1);
         match kind {
@@ -278,18 +278,16 @@ impl MemorySystem {
 
         // Dirty lines displaced out of the hierarchy are written to DRAM
         // off the critical path (no clock advance), but they do open rows.
-        for &line in &wb {
+        for &line in &self.wb_scratch {
             self.dram.access(line, self.now);
         }
         // Prefetch fills are DRAM reads off the critical path too — and
         // therefore real row activations.
-        for &line in &pf {
+        for &line in &self.pf_scratch {
             self.dram.access(line, self.now);
         }
-        wb.clear();
-        pf.clear();
-        self.wb_scratch = wb;
-        self.pf_scratch = pf;
+        self.wb_scratch.clear();
+        self.pf_scratch.clear();
         if self.dram.total_flips() > 0 {
             self.apply_new_flips();
         }

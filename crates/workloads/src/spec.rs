@@ -413,7 +413,7 @@ mod tests {
     fn memory_intensive_trio_matches_paper() {
         let names: Vec<&str> = SpecBenchmark::memory_intensive()
             .iter()
-            .map(|b| b.name())
+            .map(super::SpecBenchmark::name)
             .collect();
         assert_eq!(names, vec!["mcf", "libquantum", "omnetpp"]);
     }
@@ -422,7 +422,7 @@ mod tests {
     fn figure4_subset_matches_paper() {
         let names: Vec<&str> = SpecBenchmark::figure4_subset()
             .iter()
-            .map(|b| b.name())
+            .map(super::SpecBenchmark::name)
             .collect();
         assert_eq!(
             names,

@@ -122,17 +122,18 @@ macro_rules! records {
     };
 }
 
-// Grouped by release wall time at one thread on a 2-vCPU VM.
+// Grouped by release wall time at one thread on a 2-vCPU VM, the slower
+// of the two engines.
 records! {
     // At most 5 s: part of the default `cargo test`.
     [parallel, serial_per_op]:
         static_analysis, selfdefense, fingerprint, eviction_pattern, mitigation_compare,
         refresh_power, row_buffer_policy, evasion, verifier, pagemap_hardening,
         refresh_sweep, ecc_analysis, victim_radius;
-    // 12 s (soak) to 29 s (table1).
+    // 6 s (fleet, soak) to 29 s (table1).
     #[ignore = "5-30 s; run by the CI records job"]
     [parallel, serial_per_op]: soak, ablation_threshold, overhead_breakdown, fleet, table1;
-    // 40 s (resilience) to 271 s (table5).
+    // 41 s (fuzz) to 271 s (table5).
     #[ignore = "over 30 s; run by the CI records job"]
     [parallel]:
         resilience, fuzz, ablation_sampling, detection_matrix, table3, figure4, figure3,

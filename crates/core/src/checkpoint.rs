@@ -40,9 +40,11 @@ use serde::{Deserialize, Serialize};
 /// The checkpoint format version this build reads and writes.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash (the checkpoint checksum and config fingerprint).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64-bit step per byte of `bytes`, from `hash`.
+fn fnv1a64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -50,13 +52,70 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// FNV-1a 64-bit hash (the checkpoint checksum and config fingerprint).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
 /// Fingerprint of an [`AnvilConfig`](crate::AnvilConfig): the FNV-1a hash
 /// of its canonical JSON encoding. Two configs hash equal exactly when
 /// every parameter (including hardening and degraded-mode settings) is
 /// equal, so a checkpoint can refuse to resume under a different config.
+///
+/// The encoding is hashed as it is written, never held as a string.
 pub fn config_hash(config: &crate::AnvilConfig) -> u64 {
-    let json = serde_json::to_string(config).expect("config serialization is infallible");
-    fnv1a64(json.as_bytes())
+    /// Hashes what is written to it.
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = fnv1a64_from(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut hash = Fnv(FNV_OFFSET);
+    std::fmt::write(&mut hash, format_args!("{}", serde_json::to_value(config)))
+        .expect("hashing cannot fail");
+    hash.0
+}
+
+/// An [`AnvilConfig`](crate::AnvilConfig) with its [`config_hash`]
+/// computed once.
+///
+/// The hash serializes the config, which costs more than building the
+/// detector it parameterizes. A caller that builds detectors from one
+/// config again and again — a supervisor restoring after every crash —
+/// hashes it once and passes this; a bare `AnvilConfig` converts (and is
+/// hashed) on the way in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HashedConfig {
+    config: crate::AnvilConfig,
+    hash: u64,
+}
+
+impl HashedConfig {
+    /// Pairs `config` with its [`config_hash`].
+    pub fn new(config: crate::AnvilConfig) -> Self {
+        HashedConfig {
+            hash: config_hash(&config),
+            config,
+        }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &crate::AnvilConfig {
+        &self.config
+    }
+
+    /// Its [`config_hash`].
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl From<crate::AnvilConfig> for HashedConfig {
+    fn from(config: crate::AnvilConfig) -> Self {
+        HashedConfig::new(config)
+    }
 }
 
 /// A full snapshot of [`AnvilDetector`](crate::AnvilDetector) state.
@@ -215,6 +274,14 @@ mod tests {
                 found: CHECKPOINT_VERSION + 1,
             }
         );
+    }
+
+    #[test]
+    fn config_hash_is_the_hash_of_the_compact_encoding() {
+        for config in [AnvilConfig::baseline(), AnvilConfig::hardened()] {
+            let json = serde_json::to_string(&config).unwrap();
+            assert_eq!(config_hash(&config), fnv1a64(json.as_bytes()));
+        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! run the row/bank locality analysis. On detection, the rows adjacent to
 //! each identified aggressor are selectively refreshed with a read.
 
-use crate::checkpoint::{config_hash, DetectorCheckpoint, CHECKPOINT_VERSION};
+use crate::checkpoint::{DetectorCheckpoint, HashedConfig, CHECKPOINT_VERSION};
 use crate::config::AnvilConfig;
 use crate::epoch::{QuietCheckpoint, QuietShadow};
 use crate::error::{ConfigError, RuntimeError};
 use crate::guard::{GuardMode, GuardedCell, GuardedValue, StateCorruption, StateSite};
 use crate::locality::{
-    analyze_window, LocalityReport, LocalityScratch, RowSample, SuspicionLedger,
+    analyze_window, LedgerRow, LocalityReport, LocalityScratch, RowSample, SuspicionLedger,
 };
 use crate::transition;
 use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramLocation, RowId};
@@ -218,7 +218,8 @@ pub struct AnvilDetector {
     /// The PEBS filter armed for the in-flight stage-2 window (carried by
     /// checkpoints so restore can re-arm the same facility).
     armed_filter: SampleFilter,
-    /// [`config_hash`] of `config`, computed once per config change —
+    /// [`config_hash`](crate::config_hash) of `config`, taken from the
+    /// [`HashedConfig`] the detector was built or reconfigured with —
     /// checkpoints are written far too often to re-serialize the config
     /// each time.
     config_fingerprint: u64,
@@ -299,12 +300,14 @@ impl AnvilDetector {
     ///
     /// Panics if the configuration fails [`AnvilConfig::validate`].
     pub fn new(
-        config: AnvilConfig,
+        config: impl Into<HashedConfig>,
         clock: &CpuClock,
         refresh_period: Cycle,
         now: Cycle,
         pmu: &mut Pmu,
     ) -> Self {
+        let hashed = config.into();
+        let config = *hashed.config();
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid ANVIL config: {e}"));
@@ -330,7 +333,7 @@ impl AnvilDetector {
             guard: GuardMode::Guarded,
             corruptions: Vec::new(),
             armed_filter: SampleFilter::LoadsAndStores,
-            config_fingerprint: config_hash(&config),
+            config_fingerprint: hashed.hash(),
             records_scratch: Vec::new(),
             locality: LocalityScratch::default(),
         };
@@ -838,7 +841,15 @@ impl AnvilDetector {
     /// open (or at its first flush point): the ledger, armed filter,
     /// and config fingerprint cannot have changed since the deferral,
     /// and every quiet boundary stores a sticky-sampling depth of zero.
-    pub fn materialize_quiet_checkpoint(&self, q: &QuietCheckpoint) -> DetectorCheckpoint {
+    ///
+    /// The ledger rows are written into `rows`, reusing its allocations
+    /// (its rows' pid buffers included).
+    pub fn materialize_quiet_checkpoint(
+        &self,
+        q: &QuietCheckpoint,
+        mut rows: Vec<LedgerRow>,
+    ) -> DetectorCheckpoint {
+        self.ledger.rows_into(&mut rows);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -850,7 +861,7 @@ impl AnvilDetector {
             phase_state: q.phase_state,
             window_scale: q.window_scale,
             pebs_jitter: q.pebs_jitter,
-            ledger: self.ledger.to_rows(),
+            ledger: rows,
             resamples: 0,
         }
     }
@@ -982,6 +993,16 @@ impl AnvilDetector {
     /// PEBS buffer are volatile hardware state and are deliberately not
     /// captured; the sampler's *programmed* jitter-stream position is.
     pub fn checkpoint(&self, pmu: &Pmu) -> DetectorCheckpoint {
+        self.checkpoint_reusing(pmu, Vec::new())
+    }
+
+    /// [`checkpoint`](Self::checkpoint), writing the ledger rows into
+    /// `rows` and reusing its allocations (its rows' pid buffers
+    /// included) — for a writer that replaces its previous checkpoint
+    /// with each new one, so the write allocates nothing once the buffers
+    /// have grown to the ledger's size.
+    pub fn checkpoint_reusing(&self, pmu: &Pmu, mut rows: Vec<LedgerRow>) -> DetectorCheckpoint {
+        self.ledger.rows_into(&mut rows);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -993,7 +1014,7 @@ impl AnvilDetector {
             phase_state: read_cell(self.guard, &self.phase_state),
             window_scale: read_cell(self.guard, &self.window_scale),
             pebs_jitter: pmu.sampler().jitter_state(),
-            ledger: self.ledger.to_rows(),
+            ledger: rows,
             resamples: read_cell(self.guard, &self.resamples),
         }
     }
@@ -1016,7 +1037,7 @@ impl AnvilDetector {
     /// Panics if `config` fails [`AnvilConfig::validate`] (same contract
     /// as [`new`](Self::new)).
     pub fn restore(
-        config: AnvilConfig,
+        config: impl Into<HashedConfig>,
         clock: &CpuClock,
         refresh_period: Cycle,
         now: Cycle,
@@ -1029,7 +1050,9 @@ impl AnvilDetector {
                 found: ckpt.version,
             });
         }
-        let expected = config_hash(&config);
+        let hashed = config.into();
+        let config = *hashed.config();
+        let expected = hashed.hash();
         if ckpt.config_hash != expected {
             return Err(RuntimeError::ConfigMismatch {
                 expected,
@@ -1088,7 +1111,7 @@ impl AnvilDetector {
     /// an armed sampling window is never torn down mid-observation.
     pub fn reconfigure(
         &mut self,
-        config: AnvilConfig,
+        config: impl Into<HashedConfig>,
         clock: &CpuClock,
         now: Cycle,
         pmu: &mut Pmu,
@@ -1098,9 +1121,11 @@ impl AnvilDetector {
                 "hot reload must wait for the stage-2 window to end".to_owned(),
             ));
         }
+        let hashed = config.into();
+        let config = *hashed.config();
         config.validate()?;
         self.config = config;
-        self.config_fingerprint = config_hash(&config);
+        self.config_fingerprint = hashed.hash();
         self.tc = config.tc_cycles(clock);
         self.ts = config.ts_cycles(clock);
         // Carry is rate-normalized evidence in misses; it remains
@@ -1686,7 +1711,6 @@ mod tests {
 
     #[test]
     fn full_scrub_matches_one_slice_per_cell() {
-        use crate::locality::LedgerRow;
         let mut pmu = Pmu::new(SamplerConfig::anvil_default());
         let det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
         let mut ckpt = det.checkpoint(&pmu);

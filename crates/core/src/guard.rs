@@ -11,7 +11,9 @@
 //!   each sealed with an FNV-1a-64 checksum of its encoded value. A read
 //!   majority-decodes across the replicas whose checksums verify, so a
 //!   single-replica flip never reaches a detector decision even before
-//!   the scrubber visits the cell.
+//!   the scrubber visits the cell. Until something corrupts a cell, its
+//!   three sealed replicas are implied by the word alone, so an
+//!   uncorrupted cell costs one word and no seal computation.
 //! * **Scrubbing** — [`GuardedCell::scrub`] verifies every replica,
 //!   repairs minority damage by majority vote, and reports a typed
 //!   [`StateCorruption`] naming the [`StateSite`] and whether repair
@@ -153,6 +155,22 @@ impl Replica {
 /// and three is the cheapest that tolerates one arbitrary flip).
 pub const REPLICAS: usize = 3;
 
+/// How a cell holds its replicas.
+///
+/// Every store and every scrub leaves three identical, validly sealed
+/// replicas of one word, and only [`GuardedCell::corrupt`] can make them
+/// differ. So until something corrupts the cell, the word alone *is* the
+/// replica set: `Pristine(w)` stands for `[Replica::sealed(w); 3]`, and
+/// no seal is ever computed for it. The first corruption materializes
+/// the sealed replicas; the next store or repairing scrub drops them.
+#[derive(Debug, Clone)]
+enum Replicas {
+    /// Three identical replicas of this word, each validly sealed.
+    Pristine(u64),
+    /// The materialized replicas, as corruption left them.
+    Sealed(Box<[Replica; REPLICAS]>),
+}
+
 /// A checksummed, triple-replicated 64-bit state cell.
 ///
 /// See the module docs for the protocol. The injection surface
@@ -160,75 +178,62 @@ pub const REPLICAS: usize = 3;
 /// exactly the way a disturbance-induced charge leak would, so the same
 /// cell is exercised by the software injector, the physical row map in
 /// `anvil-mem`, and the proptests.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every observable behaviour — reads, scrub reports, equality — is that
+/// of three sealed replicas. A cell nothing has corrupted holds just its
+/// word (16 bytes, no seal computed); see [`Replicas`].
+#[derive(Debug, Clone)]
 pub struct GuardedCell<T: GuardedValue> {
-    replicas: [Replica; REPLICAS],
+    replicas: Replicas,
     _value: std::marker::PhantomData<T>,
+}
+
+/// Equality of the replica sets, word and seal: a pristine cell equals a
+/// materialized one holding three sealed copies of the same word.
+impl<T: GuardedValue> PartialEq for GuardedCell<T> {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.replicas, &other.replicas) {
+            (Replicas::Pristine(a), Replicas::Pristine(b)) => a == b,
+            _ => self.sealed_replicas() == other.sealed_replicas(),
+        }
+    }
 }
 
 impl<T: GuardedValue> GuardedCell<T> {
     /// A freshly sealed cell holding `value`.
     pub fn new(value: T) -> Self {
-        let r = Replica::sealed(value.encode());
         GuardedCell {
-            replicas: [r; REPLICAS],
+            replicas: Replicas::Pristine(value.encode()),
             _value: std::marker::PhantomData,
         }
     }
 
-    /// Whether all three replicas are bit-identical, word and seal — the
-    /// state every store and scrub leaves behind.
-    fn identical(&self) -> bool {
-        let [a, b, c] = &self.replicas;
-        a == b && b == c
+    /// The replica set as three sealed replicas, materialized or not.
+    fn sealed_replicas(&self) -> [Replica; REPLICAS] {
+        match &self.replicas {
+            Replicas::Pristine(word) => [Replica::sealed(*word); REPLICAS],
+            Replicas::Sealed(replicas) => **replicas,
+        }
     }
 
-    /// The words of the replicas whose seals verify, in replica order,
-    /// in a fixed buffer: `(words, count)`.
-    fn verified(&self) -> ([u64; REPLICAS], usize) {
-        let mut words = [0u64; REPLICAS];
-        let mut n = 0;
-        for r in &self.replicas {
-            if r.valid() {
-                words[n] = r.word;
-                n += 1;
-            }
+    /// The materialized replicas, sealing a pristine cell's word first.
+    fn materialize(&mut self) -> &mut [Replica; REPLICAS] {
+        if let Replicas::Pristine(word) = self.replicas {
+            self.replicas = Replicas::Sealed(Box::new([Replica::sealed(word); REPLICAS]));
         }
-        (words, n)
-    }
-
-    /// The consensus word without mutating anything: the majority word
-    /// among replicas whose checksums verify, falling back to a majority
-    /// of raw words, then to replica 0. A single flipped replica never
-    /// changes the result.
-    ///
-    /// Identical replicas short-circuit: every branch below returns their
-    /// shared word whether or not its seal verifies, so no seal is
-    /// checked.
-    fn consensus(&self) -> u64 {
-        if self.identical() {
-            return self.replicas[0].word;
+        match &mut self.replicas {
+            Replicas::Sealed(replicas) => replicas,
+            Replicas::Pristine(_) => unreachable!("materialized above"),
         }
-        let (valid, n) = self.verified();
-        Self::consensus_of(&valid[..n], &self.replicas)
-    }
-
-    /// [`consensus`](Self::consensus) given the already-verified words.
-    fn consensus_of(valid: &[u64], replicas: &[Replica; REPLICAS]) -> u64 {
-        if let Some(word) = majority(valid) {
-            return word;
-        }
-        if let Some(&word) = valid.first() {
-            return word;
-        }
-        let raw = replicas.map(|r| r.word);
-        majority(&raw).unwrap_or(replicas[0].word)
     }
 
     /// Majority-decoded read (guarded mode). Never mutates: repair is the
     /// scrubber's job, so `&self` accessors stay `&self`.
     pub fn peek(&self) -> T {
-        T::decode(self.consensus())
+        T::decode(match &self.replicas {
+            Replicas::Pristine(word) => *word,
+            Replicas::Sealed(replicas) => consensus(replicas),
+        })
     }
 
     /// Replica-0 blind read (unguarded baseline): whatever bits are in
@@ -236,20 +241,26 @@ impl<T: GuardedValue> GuardedCell<T> {
     /// that was just stored or scrubbed, since both leave every replica
     /// identical.
     pub fn raw(&self) -> T {
-        T::decode(self.replicas[0].word)
+        T::decode(match &self.replicas {
+            Replicas::Pristine(word) => *word,
+            Replicas::Sealed(replicas) => replicas[0].word,
+        })
     }
 
     /// Seals `value` into every replica.
     pub fn store(&mut self, value: T) {
-        let r = Replica::sealed(value.encode());
-        self.replicas = [r; REPLICAS];
+        self.replicas = Replicas::Pristine(value.encode());
     }
 
-    /// Whether every replica verifies and all words agree. Identical
-    /// replicas need one seal check; any other state is unclean, since
-    /// two replicas with one word and different seals cannot both verify.
+    /// Whether every replica verifies and all words agree. A pristine
+    /// cell is clean by construction; materialized identical replicas
+    /// need one seal check, and any other state is unclean, since two
+    /// replicas with one word and different seals cannot both verify.
     pub fn clean(&self) -> bool {
-        self.identical() && self.replicas[0].valid()
+        match &self.replicas {
+            Replicas::Pristine(_) => true,
+            Replicas::Sealed(replicas) => identical(replicas) && replicas[0].valid(),
+        }
     }
 
     /// Verifies all replicas, repairs what a checksummed majority can
@@ -259,16 +270,19 @@ impl<T: GuardedValue> GuardedCell<T> {
     /// re-sealed from the consensus word and the returned
     /// [`StateCorruption`] says whether that consensus was trustworthy
     /// (`repaired`) or a deterministic best guess the caller must
-    /// escalate (`!repaired`).
+    /// escalate (`!repaired`). Either way the cell is pristine afterwards.
     pub fn scrub(&mut self, site: StateSite) -> Option<StateCorruption> {
-        if self.clean() {
+        let Replicas::Sealed(replicas) = &self.replicas else {
+            return None;
+        };
+        if identical(replicas) && replicas[0].valid() {
+            self.replicas = Replicas::Pristine(replicas[0].word);
             return None;
         }
-        let (valid, n) = self.verified();
+        let (valid, n) = verified(replicas);
         let valid = &valid[..n];
         let repaired = majority(valid).is_some() || n == 1;
-        let word = Self::consensus_of(valid, &self.replicas);
-        self.replicas = [Replica::sealed(word); REPLICAS];
+        self.replicas = Replicas::Pristine(consensus_of(valid, replicas));
         Some(StateCorruption { site, repaired })
     }
 
@@ -279,7 +293,7 @@ impl<T: GuardedValue> GuardedCell<T> {
     /// `i` is hit when bit `i` of `replica_mask` is set.
     pub fn corrupt(&mut self, replica_mask: u8, bit: u8) {
         let bit = bit % 128;
-        for (i, r) in self.replicas.iter_mut().enumerate() {
+        for (i, r) in self.materialize().iter_mut().enumerate() {
             if replica_mask & (1 << i) == 0 {
                 continue;
             }
@@ -290,6 +304,63 @@ impl<T: GuardedValue> GuardedCell<T> {
             }
         }
     }
+}
+
+#[cfg(test)]
+impl<T: GuardedValue> GuardedCell<T> {
+    /// The materialized replicas, for tests that forge replica states
+    /// [`corrupt`](Self::corrupt) cannot reach (two validly sealed
+    /// replicas that disagree).
+    fn forge_replicas(&mut self) -> &mut [Replica; REPLICAS] {
+        self.materialize()
+    }
+}
+
+/// Whether all three replicas are bit-identical, word and seal.
+fn identical(replicas: &[Replica; REPLICAS]) -> bool {
+    let [a, b, c] = replicas;
+    a == b && b == c
+}
+
+/// The words of the replicas whose seals verify, in replica order, in a
+/// fixed buffer: `(words, count)`.
+fn verified(replicas: &[Replica; REPLICAS]) -> ([u64; REPLICAS], usize) {
+    let mut words = [0u64; REPLICAS];
+    let mut n = 0;
+    for r in replicas {
+        if r.valid() {
+            words[n] = r.word;
+            n += 1;
+        }
+    }
+    (words, n)
+}
+
+/// The consensus word without mutating anything: the majority word among
+/// replicas whose checksums verify, falling back to a majority of raw
+/// words, then to replica 0. A single flipped replica never changes the
+/// result.
+///
+/// Identical replicas short-circuit: every branch below returns their
+/// shared word whether or not its seal verifies, so no seal is checked.
+fn consensus(replicas: &[Replica; REPLICAS]) -> u64 {
+    if identical(replicas) {
+        return replicas[0].word;
+    }
+    let (valid, n) = verified(replicas);
+    consensus_of(&valid[..n], replicas)
+}
+
+/// [`consensus`] given the already-verified words.
+fn consensus_of(valid: &[u64], replicas: &[Replica; REPLICAS]) -> u64 {
+    if let Some(word) = majority(valid) {
+        return word;
+    }
+    if let Some(&word) = valid.first() {
+        return word;
+    }
+    let raw = replicas.map(|r| r.word);
+    majority(&raw).unwrap_or(replicas[0].word)
 }
 
 /// The strict-majority word of `words`, if one exists.
@@ -375,8 +446,8 @@ mod tests {
         // Now damage word+seal of two replicas so exactly two "verify"
         // with different words: no strict majority → escalate.
         let mut d = GuardedCell::new(10u64);
-        d.replicas[1] = Replica::sealed(11);
-        d.replicas[2] = Replica::sealed(12);
+        d.forge_replicas()[1] = Replica::sealed(11);
+        d.forge_replicas()[2] = Replica::sealed(12);
         let rd = d.scrub(StateSite::PhaseState).expect("reported");
         assert!(!rd.repaired, "three valid, three-way disagreement");
     }
@@ -395,8 +466,9 @@ mod tests {
 
 #[cfg(test)]
 mod oracle {
-    //! The allocation-free reads checked against the original allocating
-    //! implementation, kept here only as a reference.
+    //! The allocation-free, lazily sealed cell checked against the
+    //! original implementation — three always-materialized replicas read
+    //! through allocating helpers — kept here only as a reference.
     use super::*;
     use proptest::prelude::*;
 
@@ -435,41 +507,131 @@ mod oracle {
         Some(StateCorruption { site, repaired })
     }
 
+    fn ref_corrupt(replicas: &mut [Replica; REPLICAS], mask: u8, bit: u8) {
+        let bit = bit % 128;
+        for (i, r) in replicas.iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                if bit < 64 {
+                    r.word ^= 1u64 << bit;
+                } else {
+                    r.sum ^= 1u64 << (bit - 64);
+                }
+            }
+        }
+    }
+
+    /// Forges the `mask` replicas as validly sealed copies of a different
+    /// word, the only way to reach two verified replicas that disagree.
+    fn forge(replicas: &mut [Replica; REPLICAS], mask: u8, bit: u8) {
+        for (i, r) in replicas.iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                *r = Replica::sealed(r.word ^ (1u64 << (bit % 64)));
+            }
+        }
+    }
+
+    /// Every read of `cell` agrees with the reference replica set, and a
+    /// scrub of a copy reports and repairs exactly as the reference does.
+    fn agrees<T: GuardedValue>(cell: &GuardedCell<T>, want: &[Replica; REPLICAS], ops: &str) {
+        assert_eq!(&cell.sealed_replicas(), want, "{ops}");
+        assert_eq!(
+            cell.peek().encode(),
+            T::decode(ref_consensus(want)).encode(),
+            "{ops}"
+        );
+        assert_eq!(
+            cell.raw().encode(),
+            T::decode(want[0].word).encode(),
+            "{ops}"
+        );
+        assert_eq!(cell.clean(), ref_clean(want), "{ops}");
+        let mut reference = *want;
+        let report = ref_scrub(&mut reference, StateSite::Carry);
+        let mut scrubbed = cell.clone();
+        assert_eq!(scrubbed.scrub(StateSite::Carry), report, "{ops}");
+        assert_eq!(scrubbed.sealed_replicas(), reference, "{ops}");
+    }
+
     /// Applies `ops` to a cell holding `init`, comparing every read and
     /// scrub with the reference after each step. Op kinds: 0–1 flip bit
     /// `bit` in the `mask` replicas (word or seal); 2 additionally scrubs
     /// and carries on from the scrubbed state; 3 forges the `mask`
-    /// replicas as validly sealed copies of a different word, the only
-    /// way to reach two verified replicas that disagree.
+    /// replicas (see [`forge`]).
     fn check<T: GuardedValue>(init: T, ops: &[(u8, u8, u8)]) {
         let mut cell = GuardedCell::new(init);
         for &(kind, mask, bit) in ops {
             match kind {
-                3 => {
-                    for (i, r) in cell.replicas.iter_mut().enumerate() {
-                        if mask & (1 << i) != 0 {
-                            *r = Replica::sealed(r.word ^ (1u64 << (bit % 64)));
-                        }
-                    }
-                }
+                3 => forge(cell.forge_replicas(), mask, bit),
                 _ => cell.corrupt(mask, bit),
             }
-            let want = ref_consensus(&cell.replicas);
-            assert_eq!(cell.peek().encode(), T::decode(want).encode(), "{ops:?}");
-            assert_eq!(
-                cell.raw().encode(),
-                T::decode(cell.replicas[0].word).encode()
-            );
-            assert_eq!(cell.clean(), ref_clean(&cell.replicas), "{ops:?}");
-            let mut reference = cell.replicas;
-            let want = ref_scrub(&mut reference, StateSite::Carry);
-            let mut scrubbed = cell.clone();
-            assert_eq!(scrubbed.scrub(StateSite::Carry), want, "{ops:?}");
-            assert_eq!(scrubbed.replicas, reference, "{ops:?}");
+            let want = cell.sealed_replicas();
+            agrees(&cell, &want, &format!("{ops:?}"));
             if kind == 2 {
-                cell = scrubbed;
+                cell.scrub(StateSite::Carry);
             }
         }
+    }
+
+    /// One sequence op: `((kind, target), (mask, bit), (small, word))`.
+    type SeqOp = ((u8, u8), (u8, u8), (bool, u64));
+
+    /// Runs `ops` on two lazily sealed cells and on two always-sealed
+    /// reference replica sets side by side. Each op acts on cell `target
+    /// % 2`: kind 0 corrupts, 1 scrubs, 2 stores `word` (reduced to
+    /// `0..4` when `small`, so stores often agree), 3 forges, 4 replaces
+    /// it with a clone of the other cell. After every op each cell's
+    /// replicas, reads, clean verdict and scrub outcome match its
+    /// reference, and the two cells compare equal exactly when their
+    /// references do.
+    fn check_sequence(init: [u64; 2], ops: &[SeqOp]) {
+        let mut cells = init.map(GuardedCell::<u64>::new);
+        let mut refs = init.map(|w| [Replica::sealed(w); REPLICAS]);
+        for &((kind, target), (mask, bit), (small, word)) in ops {
+            let t = usize::from(target % 2);
+            let word = if small { word % 4 } else { word };
+            match kind % 5 {
+                0 => {
+                    cells[t].corrupt(mask, bit);
+                    ref_corrupt(&mut refs[t], mask, bit);
+                }
+                1 => {
+                    let site = StateSite::Resamples;
+                    assert_eq!(cells[t].scrub(site), ref_scrub(&mut refs[t], site));
+                }
+                2 => {
+                    cells[t].store(word);
+                    refs[t] = [Replica::sealed(word); REPLICAS];
+                }
+                3 => {
+                    forge(cells[t].forge_replicas(), mask, bit);
+                    forge(&mut refs[t], mask, bit);
+                }
+                _ => {
+                    cells[t] = cells[1 - t].clone();
+                    refs[t] = refs[1 - t];
+                }
+            }
+            let ops = format!("{ops:?}");
+            for (cell, want) in cells.iter().zip(&refs) {
+                agrees(cell, want, &ops);
+            }
+            assert_eq!(cells[0] == cells[1], refs[0] == refs[1], "{ops}");
+        }
+    }
+
+    #[test]
+    fn equality_sees_through_materialization() {
+        let pristine = GuardedCell::new(7u64);
+        let mut sealed = GuardedCell::new(7u64);
+        sealed.corrupt(0b001, 3);
+        assert_ne!(pristine, sealed);
+        sealed.corrupt(0b001, 3);
+        assert_eq!(pristine, sealed, "flipped back: same replicas");
+        assert_eq!(sealed, pristine);
+        sealed.corrupt(0b100, 70);
+        let copy = sealed.clone();
+        assert_eq!(copy, sealed, "a clone copies the damage");
+        assert_ne!(copy, pristine);
     }
 
     proptest! {
@@ -483,6 +645,19 @@ mod oracle {
             check(seed as u32, &ops);
             check(f64::from_bits(seed), &ops);
             check(0.5f64, &ops);
+        }
+
+        #[test]
+        fn lazy_seals_match_the_always_sealed_reference(
+            ops in prop::collection::vec(
+                ((0u8..5, 0u8..2), (0u8..8, 0u8..128), (any::<bool>(), any::<u64>())),
+                0..16,
+            ),
+            a in any::<u64>(),
+            same in any::<bool>(),
+            b in any::<u64>(),
+        ) {
+            check_sequence([a, if same { a } else { b }], &ops);
         }
     }
 }

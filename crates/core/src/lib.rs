@@ -74,7 +74,7 @@ mod locality;
 mod platform;
 pub mod transition;
 
-pub use checkpoint::{config_hash, fnv1a64, DetectorCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{config_hash, fnv1a64, DetectorCheckpoint, HashedConfig, CHECKPOINT_VERSION};
 pub use config::{AnvilConfig, DegradedMode, DetectorCosts, HardeningConfig, PAPER_REFRESH_MS};
 pub use detector::{AnvilDetector, DetectorStage, DetectorStats, ServiceOutcome, StateSignature};
 pub use envelope::{EnvelopeParams, GuaranteeEnvelope};

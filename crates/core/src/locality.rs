@@ -13,7 +13,6 @@ use crate::config::AnvilConfig;
 use crate::guard::{GuardedCell, GuardedValue, StateCorruption, StateSite};
 use anvil_dram::{Cycle, RowId};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -100,10 +99,23 @@ impl LocalityReport {
 /// [`from_rows`](SuspicionLedger::from_rows)). `windows` is a `u64` with
 /// saturating accumulation because a long-horizon service can absorb
 /// evidence for millions of windows.
+///
+/// Entries live in slots that never move: `order` lists the live slots
+/// in row order, so a window's absorption updates every entry where it
+/// sits and rebuilds only the list of slot indices. A pruned entry's
+/// slot, pid buffer included, is reused by the next new row.
 #[derive(Debug, Clone)]
 pub struct SuspicionLedger {
-    /// Entries sorted by row, each row at most once.
-    entries: Vec<(RowId, LedgerEntry)>,
+    /// Entry slots, in no particular order. Only the slots `order` names
+    /// are live; the rest hold pruned entries awaiting reuse.
+    slots: Vec<(RowId, LedgerEntry)>,
+    /// The live slots in row order, each row at most once.
+    order: Vec<usize>,
+    /// Slots free for reuse.
+    free: Vec<usize>,
+    /// Always empty between calls: the allocation
+    /// [`absorb`](Self::absorb) rebuilds `order` into.
+    spare: Vec<usize>,
     /// Whether entry cells are read by checksummed majority (`true`, the
     /// default) or blind replica-0 trust (the `selfdefense` baseline).
     /// Runtime policy: never serialized, ignored by equality.
@@ -117,20 +129,23 @@ pub struct SuspicionLedger {
 impl Default for SuspicionLedger {
     fn default() -> Self {
         SuspicionLedger {
-            entries: Vec::new(),
+            slots: Vec::new(),
+            order: Vec::new(),
+            free: Vec::new(),
+            spare: Vec::new(),
             guarded: true,
             pending: Vec::new(),
         }
     }
 }
 
-/// Ledger equality is over the accumulated evidence only — the guard
-/// mode and the transient corruption queue are runtime state, and two
-/// ledgers that carry the same evidence must compare equal across a
-/// checkpoint round-trip.
+/// Ledger equality is over the accumulated evidence only, in row order —
+/// the slot layout, the guard mode and the transient corruption queue are
+/// runtime state, and two ledgers that carry the same evidence must
+/// compare equal across a checkpoint round-trip.
 impl PartialEq for SuspicionLedger {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.entries().eq(other.entries())
     }
 }
 
@@ -145,6 +160,25 @@ struct LedgerEntry {
     windows: GuardedCell<u64>,
     /// Processes whose samples contributed (sorted, deduplicated).
     pids: Vec<u32>,
+}
+
+impl LedgerEntry {
+    /// The entry of a row with no evidence yet.
+    fn new() -> Self {
+        LedgerEntry {
+            score: GuardedCell::new(0.0),
+            windows: GuardedCell::new(0),
+            pids: Vec::new(),
+        }
+    }
+
+    /// Resets a pruned entry to [`new`](Self::new)'s state, keeping its
+    /// pid buffer's allocation.
+    fn reset(&mut self) {
+        self.score.store(0.0);
+        self.windows.store(0);
+        self.pids.clear();
+    }
 }
 
 /// Packs a row id into the stable `u64` key [`StateSite`] uses, so
@@ -186,19 +220,26 @@ impl SuspicionLedger {
 
     /// Number of rows currently under suspicion.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Whether the ledger holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
+    }
+
+    /// The live entries in row order.
+    fn entries(&self) -> impl Iterator<Item = &(RowId, LedgerEntry)> {
+        self.order.iter().map(|&slot| &self.slots[slot])
     }
 
     /// The accumulated score for `row` (zero when absent).
     pub fn score(&self, row: RowId) -> f64 {
-        self.entries
-            .binary_search_by_key(&row, |&(r, _)| r)
-            .map_or(0.0, |i| read_cell(self.guarded, &self.entries[i].1.score))
+        self.order
+            .binary_search_by_key(&row, |&slot| self.slots[slot].0)
+            .map_or(0.0, |i| {
+                read_cell(self.guarded, &self.slots[self.order[i]].1.score)
+            })
     }
 
     /// Decays every entry, folds in one window's per-row evidence, and
@@ -213,6 +254,12 @@ impl SuspicionLedger {
     /// by the rewrite. A scrubbed cell is resealed, so its value is read
     /// straight back from replica 0. Reports come out decay-only entries
     /// first, then fresh rows, each in row order.
+    ///
+    /// Each entry is updated in its slot; a new row takes a free slot and
+    /// a pruned one frees its slot. Only the row-ordered slot list is
+    /// rebuilt, into the spare buffer's allocation, so once the buffers
+    /// have grown to the ledger's size a window moves no entry and
+    /// allocates nothing.
     fn absorb(
         &mut self,
         decay: f64,
@@ -220,48 +267,34 @@ impl SuspicionLedger {
         pid_pool: &[u32],
         mut convict: impl FnMut(&RowGroup, f64, u64, &[u32]),
     ) {
-        let guarded = self.guarded;
         let mut fresh_reports = Vec::new();
-        let capacity = self.entries.len() + fresh.len();
-        let mut old_iter = std::mem::replace(&mut self.entries, Vec::with_capacity(capacity))
-            .into_iter()
-            .peekable();
-        let mut fresh_iter = fresh.iter().peekable();
+        let old = std::mem::replace(&mut self.order, std::mem::take(&mut self.spare));
+        let mut old_slots = old.iter().copied().peekable();
+        let mut groups = fresh.iter().peekable();
         loop {
-            let old_row = old_iter.peek().map(|(row, _)| *row);
-            let fresh_row = fresh_iter.peek().map(|g| g.row);
-            let order = match (old_row, fresh_row) {
+            let old_row = old_slots.peek().map(|&slot| self.slots[slot].0);
+            let (slot, group) = match (old_row, groups.peek()) {
                 (None, None) => break,
-                (Some(o), Some(f)) => o.cmp(&f),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-            };
-            let (row, mut e) = match order {
-                Ordering::Less | Ordering::Equal => old_iter.next().expect("peeked"),
-                Ordering::Greater => (
-                    fresh_row.expect("peeked"),
-                    LedgerEntry {
-                        score: GuardedCell::new(0.0),
-                        windows: GuardedCell::new(0),
-                        pids: Vec::new(),
-                    },
+                (Some(row), g) if g.is_none_or(|g| row <= g.row) => (
+                    old_slots.next().expect("peeked"),
+                    groups.next_if(|g| g.row == row),
                 ),
+                _ => {
+                    let g = groups.next().expect("peeked");
+                    (self.new_slot(g.row), Some(g))
+                }
             };
-            let group = if order == Ordering::Less {
-                None
-            } else {
-                fresh_iter.next()
-            };
-            if guarded {
+            let (row, e) = &mut self.slots[slot];
+            if self.guarded {
                 let reports = if group.is_some() {
                     &mut fresh_reports
                 } else {
                     &mut self.pending
                 };
-                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
+                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(*row))) {
                     reports.push(c);
                 }
-                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(row))) {
+                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(*row))) {
                     reports.push(c);
                 }
             }
@@ -269,6 +302,7 @@ impl SuspicionLedger {
             let score = crate::transition::ledger_step(decay, e.score.raw(), rate);
             e.score.store(score);
             if score < PRUNE_BELOW || score.is_nan() {
+                self.free.push(slot);
                 continue;
             }
             if let Some(g) = group {
@@ -281,22 +315,53 @@ impl SuspicionLedger {
                 }
                 convict(g, score, windows, &e.pids);
             }
-            self.entries.push((row, e));
+            self.order.push(slot);
         }
+        self.spare = old;
+        self.spare.clear();
         self.pending.append(&mut fresh_reports);
+    }
+
+    /// A slot holding a fresh entry for `row`: a pruned entry's slot when
+    /// one is free, else a new one.
+    fn new_slot(&mut self, row: RowId) -> usize {
+        if let Some(slot) = self.free.pop() {
+            let (r, e) = &mut self.slots[slot];
+            *r = row;
+            e.reset();
+            slot
+        } else {
+            self.slots.push((row, LedgerEntry::new()));
+            self.slots.len() - 1
+        }
     }
 
     /// Snapshots the ledger as serializable rows (checkpointing).
     pub fn to_rows(&self) -> Vec<LedgerRow> {
-        self.entries
-            .iter()
-            .map(|(row, e)| LedgerRow {
-                row: *row,
-                score: read_cell(self.guarded, &e.score),
-                windows: read_cell(self.guarded, &e.windows),
-                pids: e.pids.clone(),
-            })
-            .collect()
+        let mut rows = Vec::new();
+        self.rows_into(&mut rows);
+        rows
+    }
+
+    /// [`to_rows`](Self::to_rows) into `rows`, overwriting its contents
+    /// and reusing its allocations (the rows' pid buffers included), so a
+    /// checkpoint written over the previous one allocates nothing once
+    /// the buffers have grown to the ledger's size.
+    pub(crate) fn rows_into(&self, rows: &mut Vec<LedgerRow>) {
+        rows.truncate(self.len());
+        let mut entries = self.entries();
+        for (out, (row, e)) in rows.iter_mut().zip(&mut entries) {
+            out.row = *row;
+            out.score = read_cell(self.guarded, &e.score);
+            out.windows = read_cell(self.guarded, &e.windows);
+            out.pids.clone_from(&e.pids);
+        }
+        rows.extend(entries.map(|(row, e)| LedgerRow {
+            row: *row,
+            score: read_cell(self.guarded, &e.score),
+            windows: read_cell(self.guarded, &e.windows),
+            pids: e.pids.clone(),
+        }));
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of
@@ -305,7 +370,8 @@ impl SuspicionLedger {
     pub fn from_rows(rows: &[LedgerRow]) -> Self {
         let by_row: BTreeMap<RowId, &LedgerRow> = rows.iter().map(|r| (r.row, r)).collect();
         SuspicionLedger {
-            entries: by_row
+            order: (0..by_row.len()).collect(),
+            slots: by_row
                 .into_iter()
                 .map(|(row, r)| {
                     (
@@ -333,14 +399,14 @@ impl SuspicionLedger {
     /// Number of guarded cells the ledger currently holds (two per
     /// entry: score and window count).
     pub fn cell_count(&self) -> usize {
-        2 * self.entries.len()
+        2 * self.order.len()
     }
 
     /// XORs one bit into the chosen replicas of ledger cell `index`
     /// (entry order × {score, windows}). Returns the [`StateSite`] hit,
     /// or `None` when the index is out of range.
     pub fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
-        let (row, entry) = self.entries.get_mut(index / 2)?;
+        let (row, entry) = &mut self.slots[*self.order.get(index / 2)?];
         Some(if index.is_multiple_of(2) {
             entry.score.corrupt(replica_mask, bit);
             StateSite::LedgerScore(site_key(*row))
@@ -359,7 +425,8 @@ impl SuspicionLedger {
             return;
         }
         let of = of.max(1);
-        for (i, (row, e)) in self.entries.iter_mut().enumerate() {
+        for (i, &slot) in self.order.iter().enumerate() {
+            let (row, e) = &mut self.slots[slot];
             let score_index = base + 2 * i as u64;
             if score_index % of == slice % of {
                 if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(*row))) {

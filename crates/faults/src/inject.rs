@@ -194,14 +194,6 @@ impl DelayInjector {
     }
 }
 
-/// Detector-lifecycle fault injector: crashes, stalls, and checkpoint
-/// corruption at rest.
-///
-/// The supervisor consults it at three sites: once per detector service
-/// for a crash decision ([`crash_now`](Self::crash_now)), once per
-/// service for a stall ([`stall_cycles`](Self::stall_cycles)), and once
-/// per checkpoint write for at-rest corruption
-/// ([`corrupt`](Self::corrupt)). Each site draws from the same forked
 /// One service's bundled lifecycle draws — see
 /// [`LifecycleInjector::service_draws`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,8 +205,67 @@ pub struct ServiceDraws {
     pub crash: bool,
 }
 
-/// stream in a fixed order, so a given seed replays the exact same
-/// crash/stall/corruption schedule.
+/// The at-rest faults one checkpoint write drew, kept unapplied until
+/// something reads the stored bytes back — see
+/// [`LifecycleInjector::at_rest_fault`].
+///
+/// The position draws are kept as raw 64-bit words: a draw in `[0, n)`
+/// is one `next_u64() % n`, so reducing the word modulo the encoded
+/// length when the bytes are finally built gives exactly the position
+/// the write would have drawn with the bytes in hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AtRestFault {
+    /// Corruption: the raw byte-position word and the bit (`0..8`) it
+    /// flips.
+    corrupt: Option<(u64, u8)>,
+    /// Torn write: the raw word whose residue is the kept prefix length.
+    tear: Option<u64>,
+}
+
+impl AtRestFault {
+    /// Whether the write was corrupted at rest (one bit of one byte).
+    #[must_use]
+    pub fn corrupts(&self) -> bool {
+        self.corrupt.is_some()
+    }
+
+    /// Whether the write was torn (only a prefix persisted).
+    #[must_use]
+    pub fn tears(&self) -> bool {
+        self.tear.is_some()
+    }
+
+    /// Applies the fault to the written bytes, as storage presents them
+    /// on read-back: the bit flip first, then the tear, which truncates
+    /// to a prefix shorter than the write (possibly empty — the write
+    /// never started).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is empty: a draw over an empty range consumes
+    /// no word, so an empty write could not have drawn this fault.
+    pub fn apply(&self, bytes: &mut Vec<u8>) {
+        assert!(!bytes.is_empty(), "an at-rest fault needs written bytes");
+        let len = bytes.len() as u64;
+        if let Some((word, bit)) = self.corrupt {
+            bytes[(word % len) as usize] ^= 1 << bit;
+        }
+        if let Some(word) = self.tear {
+            bytes.truncate((word % len) as usize);
+        }
+    }
+}
+
+/// Detector-lifecycle fault injector: crashes, stalls, and checkpoint
+/// corruption at rest.
+///
+/// The supervisor consults it at three sites: once per detector service
+/// for a crash decision ([`crash_now`](Self::crash_now)), once per
+/// service for a stall ([`stall_cycles`](Self::stall_cycles)), and once
+/// per checkpoint write for at-rest corruption and tearing
+/// ([`at_rest_fault`](Self::at_rest_fault)). Each site draws from the
+/// same forked stream in a fixed order, so a given seed replays the
+/// exact same crash/stall/corruption schedule.
 #[derive(Debug, Clone)]
 pub struct LifecycleInjector {
     cfg: LifecycleFaults,
@@ -307,55 +358,33 @@ impl LifecycleInjector {
         ServiceDraws { stall, crash }
     }
 
-    /// Possibly corrupts checkpoint bytes at rest by flipping one bit of
-    /// one byte. Returns `true` when corruption fired.
-    pub fn corrupt(&mut self, bytes: &mut [u8]) -> bool {
-        if bytes.is_empty() || !self.corrupt_fires() {
-            return false;
+    /// Draws one checkpoint write's at-rest faults, or `None` when
+    /// neither fires.
+    ///
+    /// The words come in a fixed order: the corruption chance, the tear
+    /// chance (a zero rate consumes nothing, so schedules recorded before
+    /// torn writes existed are unchanged), then — for a corruption — the
+    /// byte position and the bit, then — for a tear — the kept length.
+    /// That is the order a write holding its encoded bytes would draw
+    /// them in, so [`AtRestFault::apply`] on those bytes reproduces them
+    /// exactly, and the checkpoint need only be encoded if something
+    /// reads it back. Both faults are counted here, at write time.
+    pub fn at_rest_fault(&mut self) -> Option<AtRestFault> {
+        let corrupted = self.rng.chance(self.cfg.corrupt_rate);
+        let torn = self.rng.chance(self.torn_rate);
+        if !corrupted && !torn {
+            return None;
         }
-        self.corrupt_in_place(bytes);
-        true
-    }
-
-    /// Draws the per-checkpoint-write corruption chance alone (the first
-    /// draw [`corrupt`](Self::corrupt) makes). Callers that keep their
-    /// checkpoints unserialized use this to decide whether bytes must be
-    /// materialized at all; on `true` they follow up with
-    /// [`corrupt_in_place`](Self::corrupt_in_place), reproducing
-    /// `corrupt`'s draw sequence exactly.
-    pub fn corrupt_fires(&mut self) -> bool {
-        self.rng.chance(self.cfg.corrupt_rate)
-    }
-
-    /// Flips one bit of one byte (the position and bit draws `corrupt`
-    /// makes after its chance draw fires) and counts the corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is empty.
-    pub fn corrupt_in_place(&mut self, bytes: &mut [u8]) {
-        assert!(!bytes.is_empty(), "cannot corrupt an empty checkpoint");
-        let idx = self.rng.below(bytes.len() as u64) as usize;
-        let bit = self.rng.below(8) as u8;
-        bytes[idx] ^= 1 << bit;
-        self.corrupted += 1;
-    }
-
-    /// Draws the per-checkpoint-write torn-write chance (see
-    /// [`with_torn_writes`](Self::with_torn_writes)). A zero rate
-    /// consumes nothing, so callers may draw unconditionally without
-    /// perturbing schedules recorded before torn writes existed. On
-    /// `true`, follow up with [`tear_in_place`](Self::tear_in_place).
-    pub fn tear_fires(&mut self) -> bool {
-        self.rng.chance(self.torn_rate)
-    }
-
-    /// Tears the checkpoint write: truncates `bytes` to a drawn prefix
-    /// (possibly empty — the write never started) and counts the tear.
-    pub fn tear_in_place(&mut self, bytes: &mut Vec<u8>) {
-        let keep = self.rng.below(bytes.len() as u64) as usize;
-        bytes.truncate(keep);
-        self.torn += 1;
+        let corrupt = corrupted.then(|| {
+            self.corrupted += 1;
+            let word = self.rng.next_u64();
+            (word, (self.rng.next_u64() % 8) as u8)
+        });
+        let tear = torn.then(|| {
+            self.torn += 1;
+            self.rng.next_u64()
+        });
+        Some(AtRestFault { corrupt, tear })
     }
 
     /// Crashes injected so far.
@@ -392,6 +421,59 @@ impl LifecycleInjector {
     #[must_use]
     pub fn torn_writes(&self) -> u64 {
         self.torn
+    }
+}
+
+/// The eager at-rest fault path, applied to bytes already in hand: the
+/// reference [`LifecycleInjector::at_rest_fault`] is checked against.
+#[cfg(test)]
+impl LifecycleInjector {
+    /// Possibly corrupts checkpoint bytes at rest by flipping one bit of
+    /// one byte. Returns `true` when corruption fired.
+    pub fn corrupt(&mut self, bytes: &mut [u8]) -> bool {
+        if bytes.is_empty() || !self.corrupt_fires() {
+            return false;
+        }
+        self.corrupt_in_place(bytes);
+        true
+    }
+
+    /// Draws the per-checkpoint-write corruption chance alone (the first
+    /// draw [`corrupt`](Self::corrupt) makes); on `true`, follow up with
+    /// [`corrupt_in_place`](Self::corrupt_in_place).
+    pub fn corrupt_fires(&mut self) -> bool {
+        self.rng.chance(self.cfg.corrupt_rate)
+    }
+
+    /// Flips one bit of one byte (the position and bit draws `corrupt`
+    /// makes after its chance draw fires) and counts the corruption.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is empty.
+    pub fn corrupt_in_place(&mut self, bytes: &mut [u8]) {
+        assert!(!bytes.is_empty(), "cannot corrupt an empty checkpoint");
+        let idx = self.rng.below(bytes.len() as u64) as usize;
+        let bit = self.rng.below(8) as u8;
+        bytes[idx] ^= 1 << bit;
+        self.corrupted += 1;
+    }
+
+    /// Draws the per-checkpoint-write torn-write chance (see
+    /// [`with_torn_writes`](Self::with_torn_writes)). A zero rate
+    /// consumes nothing, so callers may draw unconditionally without
+    /// perturbing schedules recorded before torn writes existed. On
+    /// `true`, follow up with [`tear_in_place`](Self::tear_in_place).
+    pub fn tear_fires(&mut self) -> bool {
+        self.rng.chance(self.torn_rate)
+    }
+
+    /// Tears the checkpoint write: truncates `bytes` to a drawn prefix
+    /// (possibly empty — the write never started) and counts the tear.
+    pub fn tear_in_place(&mut self, bytes: &mut Vec<u8>) {
+        let keep = self.rng.below(bytes.len() as u64) as usize;
+        bytes.truncate(keep);
+        self.torn += 1;
     }
 }
 
@@ -723,6 +805,63 @@ mod tests {
         for _ in 0..2_000 {
             assert!(!tearing.tear_fires());
             assert_eq!(plain.crash_now(), tearing.crash_now());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        /// Drawing a write's faults up front and applying them to the
+        /// bytes later gives the bytes, the stream position and the
+        /// counters of the eager path that held the bytes at write time —
+        /// for corruption alone, tearing alone, both, and neither.
+        #[test]
+        fn deferred_at_rest_faults_reproduce_the_eager_bytes(
+            shape in (1usize..3_000, 0usize..8, proptest::prelude::any::<u8>()),
+            seed in proptest::prelude::any::<u64>(),
+            mode in 0u8..4,
+        ) {
+            let (len, writes, fill) = shape;
+            let (corrupt_rate, torn_rate) = match mode {
+                0 => (1.0, 0.0),
+                1 => (0.0, 1.0),
+                2 => (1.0, 1.0),
+                _ => (0.4, 0.4),
+            };
+            let cfg = LifecycleFaults {
+                crash_rate: 0.0,
+                stall_rate: 0.0,
+                max_stall: 0,
+                corrupt_rate,
+            };
+            let mut eager =
+                LifecycleInjector::new(cfg, FaultRng::new(seed).fork(5)).with_torn_writes(torn_rate);
+            let mut deferred = eager.clone();
+            for w in 0..=writes {
+                let written: Vec<u8> = (0..len + w)
+                    .map(|i| (i as u8).wrapping_mul(31) ^ fill)
+                    .collect();
+                let mut want = written.clone();
+                let corrupted = eager.corrupt_fires();
+                let torn = eager.tear_fires();
+                if corrupted {
+                    eager.corrupt_in_place(&mut want);
+                }
+                if torn {
+                    eager.tear_in_place(&mut want);
+                }
+                let mut got = written;
+                match deferred.at_rest_fault() {
+                    Some(fault) => {
+                        proptest::prop_assert_eq!((fault.corrupts(), fault.tears()), (corrupted, torn));
+                        fault.apply(&mut got);
+                    }
+                    None => proptest::prop_assert!(!corrupted && !torn),
+                }
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(&deferred.rng, &eager.rng);
+                proptest::prop_assert_eq!(deferred.corruptions(), eager.corruptions());
+                proptest::prop_assert_eq!(deferred.torn_writes(), eager.torn_writes());
+            }
         }
     }
 

@@ -58,7 +58,7 @@ mod rng;
 
 pub use correlated::{CorrelatedFaults, CorrelatedInjector};
 pub use inject::{
-    DelayInjector, LifecycleInjector, PebsInjector, SampleFate, ServiceDraws,
+    AtRestFault, DelayInjector, LifecycleInjector, PebsInjector, SampleFate, ServiceDraws,
     StateCorruptionInjector, StateFlip, TranslationInjector,
 };
 pub use plan::{

@@ -74,7 +74,7 @@ impl SoakConfig {
             seed,
             anvil,
             runtime: RuntimeConfig {
-                // One checkpoint per four windows keeps serialization off
+                // One checkpoint per four windows keeps the snapshot off
                 // the critical path without widening the recovery gap
                 // beyond what stage-1 carry absorbs.
                 checkpoint_every: 4,

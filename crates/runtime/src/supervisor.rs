@@ -25,14 +25,15 @@
 //! recovery reports say *what* must be refreshed and the caller applies
 //! it (the soak engine in [`crate::soak`] does exactly that).
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use anvil_core::{
-    AnvilConfig, AnvilDetector, ConfigError, DetectorCheckpoint, DetectorStage, QuietCheckpoint,
-    QuietShadow, RuntimeError, ServiceOutcome, StateCorruption, StateSite,
+    AnvilConfig, AnvilDetector, ConfigError, DetectorCheckpoint, DetectorStage, HashedConfig,
+    QuietCheckpoint, QuietShadow, RuntimeError, ServiceOutcome, StateCorruption, StateSite,
 };
 use anvil_dram::{AddressMapping, CpuClock, Cycle};
-use anvil_faults::{hash64, LifecycleInjector, ServiceDraws};
+use anvil_faults::{hash64, AtRestFault, LifecycleInjector, ServiceDraws};
 use anvil_pmu::Pmu;
 use serde::{Deserialize, Serialize};
 
@@ -171,22 +172,34 @@ pub enum SupervisedOutcome {
     Restarted(RecoveryReport),
 }
 
-/// A checkpoint as held in (simulated) stable storage.
+/// A checkpoint as held in (simulated) stable storage: the snapshot that
+/// was written, plus the at-rest fault the write drew, if any.
 ///
-/// Serializing every write is the single largest cost of a soak-scale
-/// campaign, so clean checkpoints stay in decoded form: a
-/// [`DetectorCheckpoint`] round-trips bit-exactly through its byte
-/// encoding (`from_bytes(to_bytes(c)) == Ok(c)`, pinned by the
-/// checkpoint tests), which makes the decoded form observationally
-/// identical to re-reading the bytes. Only a write the at-rest
-/// corruption fault actually hits materializes bytes, because recovery
-/// must then see the flipped bit exactly as storage would present it.
+/// Nothing is encoded at write time. A clean checkpoint stays decoded
+/// for good: a [`DetectorCheckpoint`] round-trips bit-exactly through
+/// its byte encoding (`from_bytes(to_bytes(c)) == Ok(c)`, pinned by the
+/// checkpoint tests), so the snapshot stands in for its bytes. A faulted
+/// one is encoded only when a restart reads it back, and the fault is
+/// applied then ([`AtRestFault::apply`]); the write already drew every
+/// fault word and counted the fault. Most faulted writes are overwritten
+/// by the next write before any restart, so their bytes are never built.
 #[derive(Debug)]
-enum StoredCheckpoint {
-    /// Written clean: kept decoded, serialization deferred forever.
-    Clean(DetectorCheckpoint),
-    /// Corrupted at rest: the bytes recovery will read back.
-    Bytes(Vec<u8>),
+struct StoredCheckpoint {
+    ckpt: DetectorCheckpoint,
+    fault: Option<AtRestFault>,
+}
+
+impl StoredCheckpoint {
+    /// The checkpoint a restart reads back: the snapshot itself when the
+    /// write was clean, else the decode of its faulted bytes.
+    fn read_back(&self) -> Result<Cow<'_, DetectorCheckpoint>, RuntimeError> {
+        let Some(fault) = self.fault else {
+            return Ok(Cow::Borrowed(&self.ckpt));
+        };
+        let mut bytes = self.ckpt.to_bytes();
+        fault.apply(&mut bytes);
+        DetectorCheckpoint::from_bytes(&bytes).map(Cow::Owned)
+    }
 }
 
 /// Supervised detector runtime: owns the live [`AnvilDetector`], its
@@ -194,7 +207,9 @@ enum StoredCheckpoint {
 /// injector.
 #[derive(Debug)]
 pub struct Supervisor {
-    config: AnvilConfig,
+    /// The active configuration, hashed once per config: every restore
+    /// and cold start compares or stamps the hash.
+    config: HashedConfig,
     runtime: RuntimeConfig,
     clock: CpuClock,
     refresh_period: Cycle,
@@ -203,7 +218,7 @@ pub struct Supervisor {
     /// restart reads back, so at-rest corruption is visible to recovery
     /// exactly once.
     checkpoint: Option<StoredCheckpoint>,
-    pending_reload: Option<AnvilConfig>,
+    pending_reload: Option<HashedConfig>,
     faults: Option<LifecycleInjector>,
     stats: RuntimeStats,
     services_since_checkpoint: u32,
@@ -218,10 +233,11 @@ pub struct Supervisor {
     /// holds the live values. Flushed by [`sync_quiet`](Self::sync_quiet)
     /// before anything observes detector state.
     quiet: Option<QuietShadow>,
-    /// A clean checkpoint write deferred by the quiet path: the snapshot's
-    /// fields, materialized into a full [`DetectorCheckpoint`] only when
-    /// something could read it back (a crash, a fallback, run end).
-    deferred_checkpoint: Option<QuietCheckpoint>,
+    /// A checkpoint write deferred by the quiet path: the snapshot's
+    /// fields and the write's at-rest fault, materialized into a
+    /// [`StoredCheckpoint`] only when something could read it back (a
+    /// crash, a fallback, run end).
+    deferred_checkpoint: Option<(QuietCheckpoint, Option<AtRestFault>)>,
     /// Whether no external corruption has ever been landed on the
     /// detector's state cells ([`corrupt_state_cell`]); while true, a
     /// scrub slice over the cells is a guaranteed no-op and the quiet
@@ -247,6 +263,7 @@ impl Supervisor {
         now: Cycle,
         pmu: &mut Pmu,
     ) -> Self {
+        let config = HashedConfig::new(config);
         let mut detector = AnvilDetector::new(config, &clock, refresh_period, now, pmu);
         detector.set_state_guard(runtime.guard_state);
         let mut sup = Supervisor {
@@ -296,7 +313,7 @@ impl Supervisor {
 
     /// The active configuration.
     pub fn config(&self) -> &AnvilConfig {
-        &self.config
+        self.config.config()
     }
 
     /// Queues a validated configuration for atomic swap-in at the next
@@ -304,7 +321,7 @@ impl Supervisor {
     /// valid one replaces any previously queued reload.
     pub fn request_reload(&mut self, config: AnvilConfig) -> Result<(), ConfigError> {
         config.validate()?;
-        self.pending_reload = Some(config);
+        self.pending_reload = Some(HashedConfig::new(config));
         Ok(())
     }
 
@@ -464,21 +481,20 @@ impl Supervisor {
         if let Some(shadow) = self.quiet.take() {
             self.detector.quiet_flush(&shadow);
         }
-        if let Some(q) = self.deferred_checkpoint.take() {
-            self.checkpoint = Some(StoredCheckpoint::Clean(
-                self.detector.materialize_quiet_checkpoint(&q),
-            ));
+        if let Some((q, fault)) = self.deferred_checkpoint.take() {
+            let rows = self.take_checkpoint_rows();
+            self.checkpoint = Some(StoredCheckpoint {
+                ckpt: self.detector.materialize_quiet_checkpoint(&q, rows),
+                fault,
+            });
         }
     }
 
-    /// The quiet path's checkpoint write: draws the corruption and tear
-    /// chances in [`write_checkpoint`](Self::write_checkpoint)'s exact
-    /// order, but defers the (dominant) snapshot construction when both
-    /// miss — a deferred clean checkpoint is observationally identical
-    /// because only a restore ever reads it, and `sync_quiet` materializes
-    /// it before any restore can happen. A fault firing forces immediate
-    /// materialization so the flipped/torn bytes exist exactly as storage
-    /// would present them.
+    /// The quiet path's checkpoint write: draws the at-rest fault exactly
+    /// as [`write_checkpoint`](Self::write_checkpoint) does, but defers
+    /// the (dominant) snapshot construction — a deferred checkpoint is
+    /// observationally identical because only a restore ever reads it,
+    /// and `sync_quiet` materializes it before any restore can happen.
     fn defer_checkpoint(&mut self, pmu: &Pmu) {
         let shadow = self.quiet.as_ref().expect("quiet path is open");
         let q = QuietCheckpoint {
@@ -489,35 +505,8 @@ impl Supervisor {
             window_scale: shadow.scale,
             pebs_jitter: pmu.sampler().jitter_state(),
         };
-        self.stats.checkpoints_written = self.stats.checkpoints_written.saturating_add(1);
-        let corrupted = self
-            .faults
-            .as_mut()
-            .is_some_and(LifecycleInjector::corrupt_fires);
-        let torn = self
-            .faults
-            .as_mut()
-            .is_some_and(LifecycleInjector::tear_fires);
-        if corrupted || torn {
-            let mut bytes = self.detector.materialize_quiet_checkpoint(&q).to_bytes();
-            let faults = self
-                .faults
-                .as_mut()
-                .expect("a fault fired, so an injector is installed");
-            if corrupted {
-                faults.corrupt_in_place(&mut bytes);
-                self.stats.checkpoints_corrupted =
-                    self.stats.checkpoints_corrupted.saturating_add(1);
-            }
-            if torn {
-                faults.tear_in_place(&mut bytes);
-                self.stats.checkpoints_torn = self.stats.checkpoints_torn.saturating_add(1);
-            }
-            self.checkpoint = Some(StoredCheckpoint::Bytes(bytes));
-            self.deferred_checkpoint = None;
-        } else {
-            self.deferred_checkpoint = Some(q);
-        }
+        let fault = self.draw_at_rest_fault();
+        self.deferred_checkpoint = Some((q, fault));
         self.services_since_checkpoint = 0;
     }
 
@@ -554,25 +543,21 @@ impl Supervisor {
         pmu: &mut Pmu,
     ) -> RecoveryReport {
         let resumed_at = crashed_at + gap;
-        let restore = |ckpt: &DetectorCheckpoint, pmu: &mut Pmu| {
-            AnvilDetector::restore(
-                self.config,
-                &self.clock,
-                self.refresh_period,
-                resumed_at,
-                pmu,
-                ckpt,
-            )
-        };
-        let restored: Result<AnvilDetector, RuntimeError> = match &self.checkpoint {
-            // A clean checkpoint decodes to itself (round-trip identity),
-            // so the stored struct stands in for its bytes.
-            Some(StoredCheckpoint::Clean(ckpt)) => restore(ckpt, pmu),
-            Some(StoredCheckpoint::Bytes(bytes)) => {
-                DetectorCheckpoint::from_bytes(bytes).and_then(|ckpt| restore(&ckpt, pmu))
-            }
-            None => Err(RuntimeError::CheckpointUndecodable),
-        };
+        let restored = self
+            .checkpoint
+            .as_ref()
+            .ok_or(RuntimeError::CheckpointUndecodable)
+            .and_then(StoredCheckpoint::read_back)
+            .and_then(|ckpt| {
+                AnvilDetector::restore(
+                    self.config,
+                    &self.clock,
+                    self.refresh_period,
+                    resumed_at,
+                    pmu,
+                    &ckpt,
+                )
+            });
         let (detector, cold_start, checkpoint_error) = match restored {
             Ok(det) => (det, false, None),
             Err(e) => {
@@ -719,45 +704,38 @@ impl Supervisor {
         true
     }
 
-    /// Snapshots the live detector to stored-checkpoint form, applying
-    /// the at-rest corruption and torn-write faults when they fire.
-    ///
-    /// Both chances are drawn on every write in a fixed order —
-    /// corruption, then tear — keeping the injector's draw schedule
-    /// identical to the always-serialize implementation (a disabled
-    /// source consumes nothing). Bytes are materialized only when a
-    /// fault fires — see [`StoredCheckpoint`].
+    /// Snapshots the live detector to stored-checkpoint form, with the
+    /// at-rest fault the write draws (see [`StoredCheckpoint`]).
     fn write_checkpoint(&mut self, pmu: &Pmu) {
-        let ckpt = self.detector.checkpoint(pmu);
-        self.stats.checkpoints_written = self.stats.checkpoints_written.saturating_add(1);
-        let corrupted = self
-            .faults
-            .as_mut()
-            .is_some_and(LifecycleInjector::corrupt_fires);
-        let torn = self
-            .faults
-            .as_mut()
-            .is_some_and(LifecycleInjector::tear_fires);
-        self.checkpoint = Some(if corrupted || torn {
-            let mut bytes = ckpt.to_bytes();
-            let faults = self
-                .faults
-                .as_mut()
-                .expect("a fault fired, so an injector is installed");
-            if corrupted {
-                faults.corrupt_in_place(&mut bytes);
-                self.stats.checkpoints_corrupted =
-                    self.stats.checkpoints_corrupted.saturating_add(1);
-            }
-            if torn {
-                faults.tear_in_place(&mut bytes);
-                self.stats.checkpoints_torn = self.stats.checkpoints_torn.saturating_add(1);
-            }
-            StoredCheckpoint::Bytes(bytes)
-        } else {
-            StoredCheckpoint::Clean(ckpt)
-        });
+        let rows = self.take_checkpoint_rows();
+        let ckpt = self.detector.checkpoint_reusing(pmu, rows);
+        let fault = self.draw_at_rest_fault();
+        self.checkpoint = Some(StoredCheckpoint { ckpt, fault });
         self.services_since_checkpoint = 0;
+    }
+
+    /// The ledger rows of the stored checkpoint a write is about to
+    /// replace, for the new snapshot to overwrite in place.
+    fn take_checkpoint_rows(&mut self) -> Vec<anvil_core::LedgerRow> {
+        self.checkpoint
+            .take()
+            .map(|stored| stored.ckpt.ledger)
+            .unwrap_or_default()
+    }
+
+    /// Counts one checkpoint write and draws its at-rest corruption and
+    /// tear on every write, in the injector's fixed order (a disabled
+    /// source consumes nothing), counting each fault that fires.
+    fn draw_at_rest_fault(&mut self) -> Option<AtRestFault> {
+        self.stats.checkpoints_written = self.stats.checkpoints_written.saturating_add(1);
+        let fault = self.faults.as_mut()?.at_rest_fault()?;
+        if fault.corrupts() {
+            self.stats.checkpoints_corrupted = self.stats.checkpoints_corrupted.saturating_add(1);
+        }
+        if fault.tears() {
+            self.stats.checkpoints_torn = self.stats.checkpoints_torn.saturating_add(1);
+        }
+        Some(fault)
     }
 
     /// Forces the next service call to crash (consuming no probabilistic
@@ -1252,6 +1230,258 @@ mod tests {
             .unwrap();
         assert!(matches!(out, SupervisedOutcome::Restarted(_)));
         assert!(!sup.detector().state_guarded());
+    }
+
+    /// The eager at-rest fault path, replayed on a copy of the injector's
+    /// stream: encode the checkpoint at write time, then draw the
+    /// corruption and tear chances, the flipped byte and bit, and the
+    /// kept length against the bytes in hand. Returns the stored bytes
+    /// and which faults fired.
+    fn eager_write(
+        ckpt: &DetectorCheckpoint,
+        stream: &mut FaultRng,
+        corrupt_rate: f64,
+        torn_rate: f64,
+    ) -> (Vec<u8>, bool, bool) {
+        let corrupted = stream.chance(corrupt_rate);
+        let torn = stream.chance(torn_rate);
+        let mut bytes = ckpt.to_bytes();
+        if corrupted {
+            let idx = stream.below(bytes.len() as u64) as usize;
+            bytes[idx] ^= 1 << stream.below(8);
+        }
+        if torn {
+            let keep = stream.below(bytes.len() as u64) as usize;
+            bytes.truncate(keep);
+        }
+        (bytes, corrupted, torn)
+    }
+
+    /// An injector that crashes at `crash_rate` and faults checkpoint
+    /// writes, plus a copy of its stream for [`eager_write`].
+    fn at_rest_injector(
+        seed: u64,
+        crash_rate: f64,
+        corrupt_rate: f64,
+        torn_rate: f64,
+    ) -> (LifecycleInjector, FaultRng) {
+        let stream = FaultRng::new(seed).fork(5);
+        let inj = LifecycleInjector::new(
+            LifecycleFaults {
+                crash_rate,
+                stall_rate: 0.0,
+                max_stall: 0,
+                corrupt_rate,
+            },
+            stream.clone(),
+        )
+        .with_torn_writes(torn_rate);
+        (inj, stream)
+    }
+
+    /// A checkpoint built from `seed`'s stream: `rows` ledger rows, and
+    /// every float drawn from the extremes (signed zeros, subnormals,
+    /// `±MAX`, infinities, NaN) half the time and from raw bits
+    /// otherwise.
+    fn arbitrary_checkpoint(seed: u64, rows: usize) -> DetectorCheckpoint {
+        const EXTREMES: [f64; 9] = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            1.5,
+        ];
+        let mut r = FaultRng::new(seed);
+        let float = |r: &mut FaultRng| {
+            if r.chance(0.5) {
+                EXTREMES[r.below(EXTREMES.len() as u64) as usize]
+            } else {
+                f64::from_bits(r.next_u64())
+            }
+        };
+        let filters = [
+            anvil_pmu::SampleFilter::LoadsOnly,
+            anvil_pmu::SampleFilter::StoresOnly,
+            anvil_pmu::SampleFilter::LoadsAndStores,
+        ];
+        DetectorCheckpoint {
+            version: anvil_core::CHECKPOINT_VERSION,
+            config_hash: r.next_u64(),
+            sampling: r.chance(0.5),
+            armed_filter: filters[r.below(3) as usize],
+            deadline: r.next_u64(),
+            stats: anvil_core::DetectorStats {
+                stage1_windows: r.next_u64(),
+                ledger_flags: r.below(1_000),
+                ..anvil_core::DetectorStats::default()
+            },
+            carry: float(&mut r),
+            phase_state: r.next_u64(),
+            window_scale: float(&mut r),
+            pebs_jitter: r.next_u64(),
+            ledger: (0..rows)
+                .map(|_| anvil_core::LedgerRow {
+                    row: anvil_dram::RowId::new(
+                        anvil_dram::BankId(r.below(16) as u32),
+                        r.next_u64() as u32,
+                    ),
+                    score: float(&mut r),
+                    windows: r.next_u64(),
+                    pids: (0..r.below(4)).map(|_| r.next_u64() as u32).collect(),
+                })
+                .collect(),
+            resamples: r.next_u64() as u32,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        /// Drawing each write's at-rest fault up front and applying it to
+        /// bytes encoded later reproduces the eager path's bytes, counters
+        /// and stream position, for corruption, tearing, both, and
+        /// fractional rates of each.
+        #[test]
+        fn deferred_faults_reproduce_the_eager_bytes(
+            shape in (proptest::prelude::any::<u64>(), 0usize..=300),
+            seed in proptest::prelude::any::<u64>(),
+            mode in 0u8..4,
+        ) {
+            let ckpt = arbitrary_checkpoint(shape.0, shape.1);
+            let (corrupt_rate, torn_rate) = match mode {
+                0 => (1.0, 0.0),
+                1 => (0.0, 1.0),
+                2 => (1.0, 1.0),
+                _ => (0.5, 0.5),
+            };
+            // The crash rate is drawn only by the closing probe.
+            let (mut inj, mut stream) = at_rest_injector(seed, 0.5, corrupt_rate, torn_rate);
+            let (mut corrupted, mut torn) = (0, 0);
+            for _ in 0..3 {
+                let (want, c, t) = eager_write(&ckpt, &mut stream, corrupt_rate, torn_rate);
+                corrupted += u64::from(c);
+                torn += u64::from(t);
+                let mut got = ckpt.to_bytes();
+                match inj.at_rest_fault() {
+                    Some(fault) => fault.apply(&mut got),
+                    None => proptest::prop_assert!(!c && !t),
+                }
+                proptest::prop_assert_eq!(&got, &want);
+            }
+            proptest::prop_assert_eq!((inj.corruptions(), inj.torn_writes()), (corrupted, torn));
+            // The same stream position: 64 further coin-flip crash draws
+            // agree.
+            for _ in 0..64 {
+                proptest::prop_assert_eq!(inj.crash_now(), stream.chance(0.5));
+            }
+        }
+    }
+
+    /// Boots a supervisor, services one clean window, then services one
+    /// more under `inj` (whose only draws are the checkpoint write's),
+    /// forces a crash and services again. Returns the checkpoint the
+    /// faulted write snapshotted, the recovery report, and the runtime
+    /// counters.
+    fn faulted_write_then_crash(
+        inj: LifecycleInjector,
+    ) -> (DetectorCheckpoint, RecoveryReport, RuntimeStats) {
+        let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let mut sup = boot(&mut pmu);
+        let d = sup.deadline();
+        sup.service(d, &mut pmu, &mapping, &mut |_, v| Some(v))
+            .unwrap();
+        sup.set_faults(Some(inj));
+        let d = sup.deadline();
+        sup.service(d, &mut pmu, &mapping, &mut |_, v| Some(v))
+            .unwrap();
+        let written = sup.detector().checkpoint(&pmu);
+        sup.force_crash();
+        let d = sup.deadline();
+        let out = sup
+            .service(d, &mut pmu, &mapping, &mut |_, v| Some(v))
+            .unwrap();
+        let SupervisedOutcome::Restarted(report) = out else {
+            panic!("expected Restarted, got {out:?}");
+        };
+        (written, report, *sup.stats())
+    }
+
+    /// The recovery the eager path implies for `bytes`: resume when they
+    /// decode and restore, else cold-start with the decode error.
+    fn eager_recovery(bytes: &[u8], crashed_at: Cycle) -> (bool, Option<RuntimeError>) {
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let gap = RuntimeConfig::default().backoff_base;
+        match DetectorCheckpoint::from_bytes(bytes).and_then(|c| {
+            AnvilDetector::restore(
+                AnvilConfig::hardened(),
+                &CLOCK,
+                PERIOD,
+                crashed_at + gap,
+                &mut pmu,
+                &c,
+            )
+        }) {
+            Ok(_) => (false, None),
+            Err(e) => (true, Some(e)),
+        }
+    }
+
+    #[test]
+    fn a_faulted_write_recovers_exactly_as_the_eager_bytes_decode() {
+        let mut cold = 0;
+        for seed in 0..24u64 {
+            for (corrupt_rate, torn_rate) in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)] {
+                let (inj, mut stream) = at_rest_injector(seed, 0.0, corrupt_rate, torn_rate);
+                let (written, report, stats) = faulted_write_then_crash(inj);
+                let (bytes, _, _) = eager_write(&written, &mut stream, corrupt_rate, torn_rate);
+                let (cold_start, error) = eager_recovery(&bytes, report.crashed_at);
+                assert_eq!(
+                    (report.cold_start, &report.checkpoint_error),
+                    (cold_start, &error),
+                    "seed {seed} rates {corrupt_rate}/{torn_rate}"
+                );
+                assert_eq!(report.gap, RuntimeConfig::default().backoff_base);
+                assert_eq!(stats.checkpoint_rejections, u64::from(cold_start));
+                // The faulted write and the post-recovery write.
+                assert_eq!(stats.checkpoints_corrupted, 2 * corrupt_rate as u64);
+                assert_eq!(stats.checkpoints_torn, 2 * torn_rate as u64);
+                cold += u64::from(cold_start);
+            }
+        }
+        assert!(cold > 0, "some faulted writes must be rejected");
+    }
+
+    #[test]
+    fn a_benign_case_flip_in_the_checksum_header_still_restores() {
+        // Bit 5 turns a lowercase hex letter of the checksum header into
+        // its uppercase twin, which parses to the same checksum: storage
+        // corrupted the write, yet the restore succeeds. Find a stream
+        // whose corruption lands exactly there.
+        let (written, _, _) = faulted_write_then_crash(at_rest_injector(0, 0.0, 0.0, 0.0).0);
+        let clean = written.to_bytes();
+        let header = clean.iter().position(|&b| b == b'\n').unwrap();
+        let seed = (0u64..1_000_000)
+            .find(|&seed| {
+                let (bytes, _, _) =
+                    eager_write(&written, &mut FaultRng::new(seed).fork(5), 1.0, 0.0);
+                let i = bytes.iter().zip(&clean).position(|(a, b)| a != b).unwrap();
+                i < header && clean[i].is_ascii_lowercase() && bytes[i] ^ clean[i] == 1 << 5
+            })
+            .expect("some stream flips a header letter's case");
+        let (inj, mut stream) = at_rest_injector(seed, 0.0, 1.0, 0.0);
+        let (again, report, stats) = faulted_write_then_crash(inj);
+        assert_eq!(again, written, "the faulted run wrote the same snapshot");
+        let (bytes, _, _) = eager_write(&written, &mut stream, 1.0, 0.0);
+        assert_ne!(bytes, clean);
+        assert_eq!(eager_recovery(&bytes, report.crashed_at), (false, None));
+        assert!(!report.cold_start, "the case flip is benign");
+        assert_eq!(report.checkpoint_error, None);
+        assert_eq!(stats.checkpoints_corrupted, 2, "this write and the next");
+        assert_eq!(stats.checkpoint_rejections, 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! regression baseline.
 //!
 //! Times each optimized hot-path layer (cache access, DRAM
-//! activate+disturb, the epoch-skipping closed forms, platform step,
-//! full detector window) and the end-to-end soak workload — serial and
+//! activate+disturb, platform step, full detector window) and the
+//! end-to-end soak workload — serial and
 //! fanned through [`run_cells_checked`] — for
 //! `results/BENCH_hotpath.json`. The headline is the benign-dominated
 //! soak cell under the event engine, where the epoch-skipping fast path
@@ -28,10 +28,7 @@ use crate::harness::{run_cells_checked, CampaignArgs};
 use crate::registry::Report;
 use anvil_cache::{CacheHierarchy, HierarchyConfig};
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
-use anvil_dram::{
-    BankId, DisturbanceConfig, DisturbanceTracker, DramConfig, DramModule, DramTiming,
-    RefreshSchedule, RowId,
-};
+use anvil_dram::{DramConfig, DramModule};
 use anvil_runtime::{soak, Engine, SoakConfig, SoakSummary};
 use anvil_workloads::SpecBenchmark;
 use serde_json::json;
@@ -58,11 +55,6 @@ const BASELINE_SERIAL_WINDOWS_PER_SEC: f64 = 364_633.2;
 /// far smaller than the absolute floor (which sits ~500x below the
 /// committed headline) ever could.
 const REGRESSION_FRACTION: f64 = 0.25;
-
-/// Activations folded into one closed-form epoch in the layer
-/// micro-benchmarks (roughly the activation budget of one quiet 6 ms
-/// window on the paper's DDR3 timing).
-const EPOCH_OPS: u64 = 4_096;
 
 /// Times `op` and returns its mean cost in ns: calibrates the iteration
 /// count until a batch is long enough to time reliably, then measures
@@ -92,12 +84,6 @@ fn ns_per_op(budget_ms: f64, mut op: impl FnMut()) -> f64 {
 /// avoids implying nanosecond-precision reproducibility).
 fn round1(x: f64) -> f64 {
     (x * 10.0).round() / 10.0
-}
-
-/// Rounds to three decimals — the closed-form epoch layers amortize to
-/// well under a nanosecond per accounted op.
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
 }
 
 /// The soak smoke lifecycle (matching the `soak --smoke` campaign: crash
@@ -181,14 +167,6 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
         black_box(h.access_into(black_box(addr), false, &mut wb, &mut pf));
     });
 
-    // Epoch skipping, cache layer: one closed-form charge covering
-    // EPOCH_OPS resident hits, reported per call (per accounted access it
-    // amortizes to well under a picosecond).
-    let mut h = CacheHierarchy::new(HierarchyConfig::sandy_bridge_i5_2540m());
-    let cache_epoch = ns_per_op(budget_ms, || {
-        h.charge_epoch(black_box(EPOCH_OPS));
-    });
-
     // DRAM: double-sided hammer (dense-arena disturbance on every
     // activate) and a wide sweep (lazy row initialization).
     let mut dram = DramModule::new(DramConfig::paper_ddr3());
@@ -208,29 +186,6 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
         black_box(dram.access(black_box(addr), now));
     });
 
-    // Epoch skipping, DRAM layer: EPOCH_OPS same-row activations folded
-    // into one closed-form call vs. the per-op loop it replaces, both
-    // reported per activation.
-    let timing = DramTiming::default();
-    let sched = RefreshSchedule::new(&timing, 32_768);
-    let aggressor = RowId::new(BankId(0), 0x80);
-    let mut t = DisturbanceTracker::new(DisturbanceConfig::paper_ddr3(), 8192, 32_768);
-    let mut now = 0u64;
-    let dram_epoch = ns_per_op(budget_ms, || {
-        now += 200;
-        t.activate_epoch(black_box(aggressor), EPOCH_OPS, now, &sched);
-        black_box(t.drain_flips());
-    }) / EPOCH_OPS as f64;
-    let mut t = DisturbanceTracker::new(DisturbanceConfig::paper_ddr3(), 8192, 32_768);
-    let mut now = 0u64;
-    let dram_epoch_per_op = ns_per_op(budget_ms, || {
-        now += 200;
-        for _ in 0..EPOCH_OPS {
-            t.on_activation(black_box(aggressor), now, &sched);
-        }
-        black_box(t.drain_flips());
-    }) / EPOCH_OPS as f64;
-
     // Platform: one batched core op under the baseline detector, and a
     // full 6 ms stage-1 window.
     let mut p = Platform::new(PlatformConfig::with_anvil(AnvilConfig::baseline()));
@@ -249,10 +204,8 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
     });
 
     eprintln!(
-        "  cache hot {cache_hot:.1} ns (epoch {cache_epoch:.1} ns/call), \
-         streaming {cache_streaming:.1} ns; \
-         dram hammer {dram_hammer:.1} ns, sweep {dram_sweep:.1} ns, \
-         epoch {dram_epoch:.3} ns vs per-op {dram_epoch_per_op:.1} ns; \
+        "  cache hot {cache_hot:.1} ns, streaming {cache_streaming:.1} ns; \
+         dram hammer {dram_hammer:.1} ns, sweep {dram_sweep:.1} ns; \
          step {step:.1} ns, window {:.1} us",
         window / 1e3
     );
@@ -308,14 +261,6 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
                 "dram_activate_disturb_sweep": round1(dram_sweep),
                 "platform_step": round1(step),
                 "detector_window_us": round1(window / 1e3),
-                "epoch_skip": {
-                    "epoch_ops": EPOCH_OPS,
-                    "cache_charge_epoch_call": round3(cache_epoch),
-                    "dram_activate_epoch_per_activation": round3(dram_epoch),
-                    "dram_activate_per_op_per_activation": round1(dram_epoch_per_op),
-                    "soak_window_benign_event_ns": round1(1e9 / serial),
-                    "soak_window_benign_per_op_ns": round1(1e9 / serial_per_op),
-                },
             },
             "end_to_end": {
                 "cell": "benign-dominated soak (adversary pacing off)",

@@ -113,22 +113,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Bulk-charges `n` hits to resident lines in closed form — the
-    /// event-driven engine's alternative to `n` individual
-    /// [`access`](Self::access) calls against lines already present.
-    ///
-    /// Observationally identical to the per-access path **only when the
-    /// epoch's footprint is resident and recency-stable**: a hit neither
-    /// fills nor evicts, and repeated hits to an already
-    /// most-recently-used line leave the replacement state fixed, so the
-    /// only observable effect is the two stat counters. An epoch whose
-    /// accesses could miss, rotate recency across ways, or dirty new
-    /// lines must fall back to per-access stepping.
-    pub fn charge_resident_hits(&mut self, n: u64) {
-        self.stats.accesses = self.stats.accesses.saturating_add(n);
-        self.stats.hits = self.stats.hits.saturating_add(n);
-    }
-
     /// The set index `paddr` maps to.
     pub fn set_of(&self, paddr: u64) -> usize {
         ((paddr >> self.line_shift) & (self.sets as u64 - 1)) as usize

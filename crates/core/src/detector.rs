@@ -215,6 +215,13 @@ pub struct AnvilDetector {
     /// Corruptions found by scrubs and guarded accesses since the last
     /// [`take_state_corruptions`](Self::take_state_corruptions) drain.
     corruptions: Vec<StateCorruption>,
+    /// Whether one of the four scalar cells may be sealed: set by
+    /// [`corrupt_state_cell`](Self::corrupt_state_cell), cleared once a
+    /// slice scrub leaves all four pristine. While it is clear, scrubbing
+    /// them would find nothing, so
+    /// [`scrub_state_slice`](Self::scrub_state_slice) skips them. The
+    /// ledger keeps the same flag for its own cells.
+    may_be_sealed: bool,
     /// The PEBS filter armed for the in-flight stage-2 window (carried by
     /// checkpoints so restore can re-arm the same facility).
     armed_filter: SampleFilter,
@@ -332,6 +339,7 @@ impl AnvilDetector {
             resamples: GuardedCell::new(0),
             guard: GuardMode::Guarded,
             corruptions: Vec::new(),
+            may_be_sealed: false,
             armed_filter: SampleFilter::LoadsAndStores,
             config_fingerprint: hashed.hash(),
             records_scratch: Vec::new(),
@@ -574,13 +582,12 @@ impl AnvilDetector {
         let mut refreshes: Vec<(RowId, u64)> = Vec::new();
         if report.detected() {
             self.stats.detections = self.stats.detections.saturating_add(1);
-            let aggressor_rows: Vec<RowId> = report.aggressors.iter().map(|a| a.row).collect();
             for finding in &report.aggressors {
                 for victim in finding
                     .row
                     .neighbors(self.config.victim_radius, mapping.geometry())
                 {
-                    if aggressor_rows.contains(&victim)
+                    if report.aggressors.iter().any(|a| a.row == victim)
                         || refreshes.iter().any(|(r, _)| *r == victim)
                     {
                         continue;
@@ -909,6 +916,9 @@ impl AnvilDetector {
         replica_mask: u8,
         bit: u8,
     ) -> Option<StateSite> {
+        if index < 4 {
+            self.may_be_sealed = true;
+        }
         match index {
             0 => {
                 self.carry.corrupt(replica_mask, bit);
@@ -936,10 +946,27 @@ impl AnvilDetector {
     /// windows. No-op in unguarded mode. Corruptions found are counted in
     /// the stats and queued for
     /// [`take_state_corruptions`](Self::take_state_corruptions).
+    ///
+    /// Only [`corrupt_state_cell`](Self::corrupt_state_cell) can leave a
+    /// cell for a scrub to find, so until it is called the step does
+    /// nothing at all.
     pub fn scrub_state_slice(&mut self, slice: u64, of: u64) {
         if self.guard != GuardMode::Guarded {
             return;
         }
+        if self.may_be_sealed {
+            self.scrub_scalar_cells(slice, of);
+        }
+        self.ledger.scrub_cells(slice, of, 4);
+        for c in self.ledger.take_corruptions() {
+            note_corruption(&mut self.corruptions, &mut self.stats, c);
+        }
+    }
+
+    /// [`scrub_state_slice`](Self::scrub_state_slice)'s step over the
+    /// four scalar cells, clearing `may_be_sealed` once all four are
+    /// pristine.
+    fn scrub_scalar_cells(&mut self, slice: u64, of: u64) {
         let of = of.max(1);
         let slice = slice % of;
         if 0 % of == slice {
@@ -962,10 +989,20 @@ impl AnvilDetector {
                 note_corruption(&mut self.corruptions, &mut self.stats, c);
             }
         }
-        self.ledger.scrub_cells(slice, of, 4);
-        for c in self.ledger.take_corruptions() {
-            note_corruption(&mut self.corruptions, &mut self.stats, c);
-        }
+        self.may_be_sealed = !(self.carry.pristine()
+            && self.phase_state.pristine()
+            && self.window_scale.pristine()
+            && self.resamples.pristine());
+    }
+
+    /// Marks every state cell as possibly sealed, whatever
+    /// [`corrupt_state_cell`](Self::corrupt_state_cell) recorded, so the
+    /// next scrubs run in full: the always-scrub reference the scrub-skip
+    /// equivalence tests compare against.
+    #[doc(hidden)]
+    pub fn mark_state_unverified(&mut self) {
+        self.may_be_sealed = true;
+        self.ledger.mark_unverified();
     }
 
     /// A full scrub pass over every state cell (campaign teardown and
@@ -1086,6 +1123,7 @@ impl AnvilDetector {
             resamples: GuardedCell::new(ckpt.resamples),
             guard: GuardMode::Guarded,
             corruptions: Vec::new(),
+            may_be_sealed: false,
             armed_filter: ckpt.armed_filter,
             config_fingerprint: expected,
             records_scratch: Vec::new(),

@@ -1,19 +1,17 @@
-//! The event-driven epoch engine: typed "interesting timestamps" and the
-//! closed-form quiet-window state the engine advances between them.
+//! The event-driven engine's vocabulary: the typed "interesting
+//! timestamps" a run stops at, and the quiet-window state the engine
+//! carries between them.
 //!
-//! Per-access stepping retires one memory operation at a time; every
-//! layer of the simulator (cache recency, PMU counters, disturbance
-//! slabs, the detector's guarded cells) is touched once per op. That is
-//! the right model *inside* an interesting region — an attack burst, a
-//! sampled stage-2 window, an injected fault — but benign stretches are
-//! analytically boring: the stage-1 EWMA, the window-phase jitter
-//! stream, the PMU miss counters, and the lifecycle fault draws are all
-//! closed-form functions of the window's aggregate miss count. The
-//! epoch engine exploits that: it computes the **next event horizon**
-//! (the earliest of the typed [`EpochEvent`]s below), fast-forwards to
-//! it in one jump, and accumulates everything in between in bulk.
+//! Inside an interesting region (an attack burst, a sampled stage-2
+//! window, an injected fault) every layer is stepped per op or per
+//! window. A benign stage-1 stretch is analytically boring: the EWMA
+//! carry, the window-phase jitter stream and the lifecycle fault draws
+//! are closed-form functions of each window's aggregate miss count, so
+//! `Supervisor::service_quiet` retires such windows against a
+//! [`QuietShadow`] and defers their checkpoints as [`QuietCheckpoint`]s
+//! (see `DESIGN.md` §16 for the fallback conditions).
 //!
-//! The taxonomy, in deterministic tie-break priority order:
+//! The event classes, in deterministic tie-break priority order:
 //!
 //! 1. [`EpochEvent::WindowBoundary`] — the detector's next service
 //!    deadline (a stage-1 or stage-2 window expires; on hardware, the
@@ -32,11 +30,8 @@
 //!    may not run past its siblings' lag window, so cross-core
 //!    interleavings replay identically at any batch size.
 //!
-//! An epoch **never skips past** any of these: the horizon is the
-//! minimum over every candidate, and the engine falls back to per-op
-//! stepping from the horizon onward whenever the closed form is invalid
-//! (see `DESIGN.md` §16 for the fallback conditions and the
-//! determinism argument).
+//! The cycle-accurate `Platform` names the event that ends each of its
+//! batches with these labels.
 
 use crate::detector::DetectorStats;
 use anvil_dram::Cycle;
@@ -61,23 +56,6 @@ pub enum EpochEvent {
     RunEnd,
     /// The multi-core fairness bound (a sibling core must catch up).
     CoreYield,
-}
-
-/// One event horizon: the cycle an epoch may run to, and why.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochHorizon {
-    /// The cycle of the event.
-    pub at: Cycle,
-    /// The event class.
-    pub event: EpochEvent,
-}
-
-impl EpochHorizon {
-    /// The earliest horizon among `candidates`, breaking cycle ties by
-    /// [`EpochEvent`] priority. Returns `None` for an empty set.
-    pub fn earliest(candidates: impl IntoIterator<Item = EpochHorizon>) -> Option<EpochHorizon> {
-        candidates.into_iter().min_by_key(|h| (h.at, h.event))
-    }
 }
 
 /// The detector's quiet-run shadow: the three guarded scalars a
@@ -132,62 +110,4 @@ pub struct QuietCheckpoint {
     /// The PEBS sampler's programmed jitter-stream position (constant
     /// across a quiet run; captured eagerly anyway).
     pub pebs_jitter: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The contract the tentpole rests on: an epoch horizon never skips
-    /// past a refresh deadline, a detector window boundary, or a
-    /// registered fault site — the earliest candidate always wins.
-    #[test]
-    fn an_epoch_never_skips_past_a_registered_event() {
-        let window = EpochHorizon {
-            at: 15_600_000,
-            event: EpochEvent::WindowBoundary,
-        };
-        let refresh = EpochHorizon {
-            at: 166_400_000,
-            event: EpochEvent::RefreshDeadline,
-        };
-        let fault = EpochHorizon {
-            at: 9_000_000,
-            event: EpochEvent::FaultSite,
-        };
-        let run_end = EpochHorizon {
-            at: 1_000_000_000,
-            event: EpochEvent::RunEnd,
-        };
-        let h = EpochHorizon::earliest([window, refresh, fault, run_end]).unwrap();
-        assert_eq!(h, fault, "the earliest registered site bounds the epoch");
-
-        // Remove the fault site: the window boundary is next.
-        let h = EpochHorizon::earliest([window, refresh, run_end]).unwrap();
-        assert_eq!(h, window);
-
-        // Remove the window too: the refresh deadline bounds the epoch
-        // long before the run end.
-        let h = EpochHorizon::earliest([refresh, run_end]).unwrap();
-        assert_eq!(h, refresh);
-    }
-
-    #[test]
-    fn simultaneous_events_break_ties_by_taxonomy_priority() {
-        let at = 4_242;
-        let mk = |event| EpochHorizon { at, event };
-        let h = EpochHorizon::earliest([
-            mk(EpochEvent::CoreYield),
-            mk(EpochEvent::FaultSite),
-            mk(EpochEvent::WindowBoundary),
-            mk(EpochEvent::RefreshDeadline),
-        ])
-        .unwrap();
-        assert_eq!(h.event, EpochEvent::WindowBoundary);
-    }
-
-    #[test]
-    fn empty_candidate_sets_have_no_horizon() {
-        assert_eq!(EpochHorizon::earliest([]), None);
-    }
 }

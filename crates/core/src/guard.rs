@@ -263,6 +263,13 @@ impl<T: GuardedValue> GuardedCell<T> {
         }
     }
 
+    /// Whether nothing has corrupted the cell since its last store or
+    /// scrub: its replicas are implied by the word. A pristine cell's
+    /// [`scrub`](Self::scrub) finds nothing and changes nothing.
+    pub(crate) fn pristine(&self) -> bool {
+        matches!(self.replicas, Replicas::Pristine(_))
+    }
+
     /// Verifies all replicas, repairs what a checksummed majority can
     /// vouch for, and reports what it found.
     ///

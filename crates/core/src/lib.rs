@@ -78,7 +78,7 @@ pub use checkpoint::{config_hash, fnv1a64, DetectorCheckpoint, HashedConfig, CHE
 pub use config::{AnvilConfig, DegradedMode, DetectorCosts, HardeningConfig, PAPER_REFRESH_MS};
 pub use detector::{AnvilDetector, DetectorStage, DetectorStats, ServiceOutcome, StateSignature};
 pub use envelope::{EnvelopeParams, GuaranteeEnvelope};
-pub use epoch::{EpochEvent, EpochHorizon, QuietCheckpoint, QuietShadow};
+pub use epoch::{EpochEvent, QuietCheckpoint, QuietShadow};
 pub use error::{ConfigError, PlatformError, RuntimeError};
 pub use guard::{GuardMode, GuardedCell, GuardedValue, StateCorruption, StateSite, REPLICAS};
 pub use locality::{

@@ -124,6 +124,13 @@ pub struct SuspicionLedger {
     /// [`take_corruptions`](Self::take_corruptions) drain. Transient:
     /// never serialized, ignored by equality.
     pending: Vec<StateCorruption>,
+    /// Whether an entry cell may be sealed: set by
+    /// [`corrupt_cell`](Self::corrupt_cell), cleared once a guarded
+    /// scrub leaves every live cell pristine. While clear, every scrub
+    /// would find nothing, so absorption and
+    /// [`scrub_cells`](Self::scrub_cells) skip them. Runtime state, like
+    /// `pending`.
+    may_be_sealed: bool,
 }
 
 impl Default for SuspicionLedger {
@@ -135,6 +142,7 @@ impl Default for SuspicionLedger {
             spare: Vec::new(),
             guarded: true,
             pending: Vec::new(),
+            may_be_sealed: false,
         }
     }
 }
@@ -253,7 +261,8 @@ impl SuspicionLedger {
     /// the decayed value is recomputed from it — never silently absorbed
     /// by the rewrite. A scrubbed cell is resealed, so its value is read
     /// straight back from replica 0. Reports come out decay-only entries
-    /// first, then fresh rows, each in row order.
+    /// first, then fresh rows, each in row order. While no cell may be
+    /// sealed the scrubs would find nothing, and are skipped.
     ///
     /// Each entry is updated in its slot; a new row takes a free slot and
     /// a pruned one frees its slot. Only the row-ordered slot list is
@@ -268,6 +277,7 @@ impl SuspicionLedger {
         mut convict: impl FnMut(&RowGroup, f64, u64, &[u32]),
     ) {
         let mut fresh_reports = Vec::new();
+        let scrub = self.guarded && self.may_be_sealed;
         let old = std::mem::replace(&mut self.order, std::mem::take(&mut self.spare));
         let mut old_slots = old.iter().copied().peekable();
         let mut groups = fresh.iter().peekable();
@@ -285,7 +295,7 @@ impl SuspicionLedger {
                 }
             };
             let (row, e) = &mut self.slots[slot];
-            if self.guarded {
+            if scrub {
                 let reports = if group.is_some() {
                     &mut fresh_reports
                 } else {
@@ -320,6 +330,11 @@ impl SuspicionLedger {
         self.spare = old;
         self.spare.clear();
         self.pending.append(&mut fresh_reports);
+        // Every live cell was scrubbed or stored, and fresh slots are
+        // reset: nothing is sealed any more.
+        if scrub {
+            self.may_be_sealed = false;
+        }
     }
 
     /// A slot holding a fresh entry for `row`: a pruned entry's slot when
@@ -407,6 +422,7 @@ impl SuspicionLedger {
     /// or `None` when the index is out of range.
     pub fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
         let (row, entry) = &mut self.slots[*self.order.get(index / 2)?];
+        self.may_be_sealed = true;
         Some(if index.is_multiple_of(2) {
             entry.score.corrupt(replica_mask, bit);
             StateSite::LedgerScore(site_key(*row))
@@ -416,29 +432,43 @@ impl SuspicionLedger {
         })
     }
 
+    /// Marks every entry cell as possibly sealed (see
+    /// [`AnvilDetector::mark_state_unverified`][d]).
+    ///
+    /// [d]: crate::AnvilDetector::mark_state_unverified
+    pub(crate) fn mark_unverified(&mut self) {
+        self.may_be_sealed = true;
+    }
+
     /// Scrubs every ledger cell whose global index (`base` + local
     /// position) is congruent to `slice` modulo `of`, queueing findings
     /// for [`take_corruptions`](Self::take_corruptions). No-op when
-    /// unguarded.
+    /// unguarded, or while no cell may be sealed.
+    ///
+    /// Walks only the congruent cells: the first one, then every `of`-th
+    /// after it. Cell `j` is entry `j / 2`'s score when `j` is even and
+    /// its window count when odd.
     pub fn scrub_cells(&mut self, slice: u64, of: u64, base: u64) {
-        if !self.guarded {
+        if !self.guarded || !self.may_be_sealed {
             return;
         }
         let of = of.max(1);
-        for (i, &slot) in self.order.iter().enumerate() {
-            let (row, e) = &mut self.slots[slot];
-            let score_index = base + 2 * i as u64;
-            if score_index % of == slice % of {
-                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(*row))) {
-                    self.pending.push(c);
-                }
-            }
-            if (score_index + 1) % of == slice % of {
-                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(*row))) {
-                    self.pending.push(c);
-                }
-            }
+        // The first local index `j` with `(base + j) % of == slice % of`.
+        let first = (slice % of + of - base % of) % of;
+        let cells = self.cell_count() as u64;
+        for j in (first..cells).step_by(usize::try_from(of).unwrap_or(usize::MAX)) {
+            let (row, e) = &mut self.slots[self.order[(j / 2) as usize]];
+            let found = if j % 2 == 0 {
+                e.score.scrub(StateSite::LedgerScore(site_key(*row)))
+            } else {
+                e.windows.scrub(StateSite::LedgerWindows(site_key(*row)))
+            };
+            self.pending.extend(found);
         }
+        let sealed = self
+            .entries()
+            .any(|(_, e)| !e.score.pristine() || !e.windows.pristine());
+        self.may_be_sealed = sealed;
     }
 
     /// Drains the corruption reports found by scrubs and guarded
@@ -473,6 +503,8 @@ struct RowGroup {
 #[derive(Debug, Default)]
 pub(crate) struct LocalityScratch {
     samples: Vec<RowSample>,
+    /// The samples' indices in row order (see [`row_order`]).
+    order: Vec<u64>,
     groups: Vec<RowGroup>,
     pids: Vec<u32>,
 }
@@ -485,7 +517,7 @@ impl LocalityScratch {
         &mut self.samples
     }
 
-    /// The current window's samples (row-sorted once analyzed).
+    /// The current window's samples.
     pub(crate) fn samples(&self) -> &[RowSample] {
         &self.samples
     }
@@ -528,8 +560,33 @@ pub fn analyze_with_ledger(
     analyze_window(config, &mut scratch, misses, ts, refresh_period, ledger)
 }
 
-/// [`analyze_with_ledger`] over the samples in `scratch`, which it sorts
-/// by row in place.
+/// Lists the indices of `samples` in `order` by row, ties in sampling
+/// order: the order a stable sort by row would leave the samples in.
+/// Returns the mask that reads an index back out of an `order` entry.
+///
+/// An entry is the sample's packed row above its 16-bit index, so one
+/// unstable sort of plain integers does the work. Samples the packing
+/// cannot hold (a bank id or an index of 2^16 or more) are sorted in
+/// place by row instead, and listed as they then stand.
+fn row_order(samples: &mut [RowSample], order: &mut Vec<u64>) -> u64 {
+    const INDEX: u64 = 0xffff;
+    order.clear();
+    if samples.len() as u64 > INDEX + 1 || samples.iter().any(|s| u64::from(s.row.bank.0) > INDEX) {
+        samples.sort_by_key(|s| s.row);
+        order.extend(0..samples.len() as u64);
+        return u64::MAX;
+    }
+    order.extend(
+        samples
+            .iter()
+            .zip(0u64..)
+            .map(|(s, i)| (u64::from(s.row.bank.0) << 48) | (u64::from(s.row.row) << 16) | i),
+    );
+    order.sort_unstable();
+    INDEX
+}
+
+/// [`analyze_with_ledger`] over the samples in `scratch`.
 pub(crate) fn analyze_window(
     config: &AnvilConfig,
     scratch: &mut LocalityScratch,
@@ -540,6 +597,7 @@ pub(crate) fn analyze_window(
 ) -> LocalityReport {
     let LocalityScratch {
         samples,
+        order,
         groups,
         pids,
     } = scratch;
@@ -553,14 +611,16 @@ pub(crate) fn analyze_window(
         return report;
     }
 
-    // Group samples per row (raw count, evidence weight, issuing pids).
-    // The sort is stable, so each row's pids keep their first-seen order,
-    // which the ledger stores and checkpoints carry.
-    samples.sort_by_key(|s| s.row);
+    // Group samples per row (raw count, evidence weight, issuing pids),
+    // visiting them in row order. Ties keep their sampling order, so each
+    // row's pids keep their first-seen order, which the ledger stores and
+    // checkpoints carry.
+    let index = row_order(samples, order);
     groups.clear();
     pids.clear();
     let mut total_weight: u64 = 0;
-    for s in samples.iter() {
+    for &entry in order.iter() {
+        let s = &samples[(entry & index) as usize];
         total_weight += u64::from(s.weight);
         match groups.last_mut() {
             Some(g) if g.row == s.row => {
@@ -1095,6 +1155,28 @@ mod oracle {
                 .collect()
         }
 
+        /// The per-cell modulo walk over every entry, scrubbing each
+        /// congruent cell.
+        fn scrub_cells(&mut self, slice: u64, of: u64, base: u64) {
+            if !self.guarded {
+                return;
+            }
+            let of = of.max(1);
+            for (i, (&row, e)) in self.entries.iter_mut().enumerate() {
+                let score_index = base + 2 * i as u64;
+                if score_index % of == slice % of {
+                    if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
+                        self.pending.push(c);
+                    }
+                }
+                if (score_index + 1) % of == slice % of {
+                    if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(row))) {
+                        self.pending.push(c);
+                    }
+                }
+            }
+        }
+
         fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
             let (&row, entry) = self.entries.iter_mut().nth(index / 2)?;
             Some(if index.is_multiple_of(2) {
@@ -1208,8 +1290,33 @@ mod oracle {
             .collect()
     }
 
+    /// Bank ids and sample counts past the packed sort keys fall back to
+    /// sorting the samples themselves, with the same report.
+    #[test]
+    fn samples_past_the_packed_keys_analyze_the_same() {
+        let config = AnvilConfig::hardened();
+        let raw = |n: u32, bank: u32| -> Vec<Sample> {
+            (0..n)
+                .map(|i| (bank + i % 3, 7 + (i * 5) % 4, i % 5, (i % 5) as u8))
+                .collect()
+        };
+        for samples in [
+            raw(60, 0xfffe),
+            raw(60, u32::MAX - 3),
+            raw((1 << 16) + 7, 2),
+        ] {
+            let samples = to_samples(&samples);
+            let got = analyze(&config, &samples, 400_000, TS, PERIOD);
+            assert_eq!(
+                got,
+                ref_analyze(&config, &samples, 400_000, TS, PERIOD, None)
+            );
+            assert!(got.detected(), "a report with findings to order");
+        }
+    }
+
     type Sample = (u32, u32, u32, u8);
-    type Window = (Vec<Sample>, u64, Vec<(usize, u8, u8)>);
+    type Window = (Vec<Sample>, u64, Vec<(usize, u8, u8)>, Vec<(u64, u64, u64)>);
 
     fn to_samples(raw: &[Sample]) -> Vec<RowSample> {
         raw.iter()
@@ -1274,9 +1381,12 @@ mod oracle {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Over several windows of random samples (rows, banks, pids,
         /// weights, empty and zero-weight windows, zero-miss windows) with
-        /// ledger cells corrupted between windows, the reports, the
-        /// ledger rows (pid order included) and the corruption sequence
-        /// all match the reference, guarded and unguarded.
+        /// ledger cells corrupted and slice-scrubbed between windows, the
+        /// reports, the ledger rows (pid order included) and the
+        /// corruption sequence all match the reference, guarded and
+        /// unguarded. The reference scrubs every cell absorption touches
+        /// and walks every entry in a slice scrub; the ledger skips both
+        /// while nothing may be sealed and strides over congruent cells.
         #[test]
         fn analysis_and_ledger_match_the_map_based_reference(
             windows in prop::collection::vec(
@@ -1284,6 +1394,7 @@ mod oracle {
                     prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
                     0u64..400_000,
                     prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
+                    prop::collection::vec((0u64..9, 0u64..9, 0u64..7), 0..3),
                 ),
                 1..10,
             ),
@@ -1298,7 +1409,7 @@ mod oracle {
                 pending: Vec::new(),
             };
             let windows: &[Window] = &windows;
-            for (raw, misses, hits) in windows {
+            for (raw, misses, hits, scrubs) in windows {
                 // One window in twenty carries no misses.
                 let misses = if *misses < 20_000 { 0 } else { *misses };
                 let samples = to_samples(raw);
@@ -1319,6 +1430,11 @@ mod oracle {
                             reference.corrupt_cell(cell % cells, mask, bit)
                         );
                     }
+                }
+                for &(slice, of, base) in scrubs {
+                    ledger.scrub_cells(slice, of, base);
+                    reference.scrub_cells(slice, of, base);
+                    prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
                 }
             }
         }

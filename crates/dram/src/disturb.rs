@@ -362,82 +362,6 @@ impl DisturbanceTracker {
         }
     }
 
-    /// Records `n` identical activations of `row` at `now` in closed
-    /// form: one dense pass over the (at most four) victim slots instead
-    /// of `n` full [`on_activation`](Self::on_activation) walks.
-    ///
-    /// Observationally identical to calling `on_activation(row, now,
-    /// schedule)` `n` times back to back — including the flip log's
-    /// order, which replays each flip at the activation index that
-    /// crossed its cell's threshold — **provided no other aggressor,
-    /// refresh, or repair touches these rows inside the epoch** (the
-    /// event-driven engine's closed-form condition; an epoch boundary is
-    /// forced at any such site). Counters accumulate on the same
-    /// [`BankSlab`] arena slots the per-op path uses.
-    pub fn activate_epoch(&mut self, row: RowId, n: u64, now: Cycle, schedule: &RefreshSchedule) {
-        if n == 0 {
-            return;
-        }
-        // Opening the row restores its own charge, idempotently per
-        // activation: once is enough.
-        self.reset_row(row, now);
-        // (crossing activation index, flip) pairs, collected per victim
-        // in the per-activation disturb order; the stable sort below
-        // restores the exact per-op interleaving across victims.
-        let at = self.refresh_clock(now, schedule);
-        let mut pending: Vec<(u64, BitFlip)> = Vec::new();
-        if row.row > 0 {
-            self.disturb_epoch(
-                RowId::new(row.bank, row.row - 1),
-                Some(Side::Above),
-                n,
-                at,
-                schedule,
-                &mut pending,
-            );
-        }
-        if row.row + 1 < self.rows_per_bank {
-            self.disturb_epoch(
-                RowId::new(row.bank, row.row + 1),
-                Some(Side::Below),
-                n,
-                at,
-                schedule,
-                &mut pending,
-            );
-        }
-        if self.config.neighbor_reach >= 2 {
-            if row.row > 1 {
-                self.disturb_epoch(
-                    RowId::new(row.bank, row.row - 2),
-                    None,
-                    n,
-                    at,
-                    schedule,
-                    &mut pending,
-                );
-            }
-            if row.row + 2 < self.rows_per_bank {
-                self.disturb_epoch(
-                    RowId::new(row.bank, row.row + 2),
-                    None,
-                    n,
-                    at,
-                    schedule,
-                    &mut pending,
-                );
-            }
-        }
-        // Stable by crossing index: within one activation the per-op
-        // path visits victims (then cells) in exactly the order pending
-        // was filled.
-        pending.sort_by_key(|(k, _)| *k);
-        for (_, flip) in pending {
-            self.total_flips += 1;
-            self.flips.push(flip);
-        }
-    }
-
     /// Explicitly refreshes `row` (a selective-refresh read, a TRR/PARA
     /// neighbor refresh, or a scrub), resetting its disturbance counters.
     pub fn reset_row(&mut self, row: RowId, now: Cycle) {
@@ -600,94 +524,6 @@ impl DisturbanceTracker {
                     bit: cell.bit,
                     cycle: now,
                 });
-            }
-        }
-    }
-
-    /// The closed-form counterpart of [`disturb`](Self::disturb): applies
-    /// `n` same-side disturbances at once. Instead of pushing flips
-    /// directly it records `(k, flip)` pairs in `pending`, where `k` is
-    /// the 1-based activation index whose increment first crossed the
-    /// cell's threshold — found by binary search on the monotone
-    /// effective-disturbance curve — so the caller can interleave flips
-    /// from all victims in exact per-op order.
-    fn disturb_epoch(
-        &mut self,
-        victim: RowId,
-        side: Option<Side>,
-        n: u64,
-        at: RefreshClock,
-        schedule: &RefreshSchedule,
-        pending: &mut Vec<(u64, BitFlip)>,
-    ) {
-        let now = at.now;
-        let boost = self.boost;
-        let far_coupling = self.config.distance2_coupling;
-        let bank = victim.bank.0 as usize;
-        if bank >= self.banks.len() {
-            self.banks.resize_with(bank + 1, BankSlab::default);
-        }
-        let slab = &mut self.banks[bank];
-        let slot = slab.slot_of(victim, &self.config, self.rows_per_bank);
-        let state = &mut slab.slots[slot];
-
-        // Lazy auto-refresh, once up front: the per-op path re-checks on
-        // every activation, but all `n` share the same `now`, so after the
-        // first check `last > state.last_reset` can never hold again.
-        if let Some(last) = schedule.last_refresh_in(victim.row, now, at.period_start) {
-            if last > state.last_reset {
-                state.c_hi = 0;
-                state.c_lo = 0;
-                state.c_far = 0;
-                state.last_reset = last;
-            }
-        }
-
-        let (h0, l0, f0) = (state.c_hi, state.c_lo, state.c_far);
-        match side {
-            Some(Side::Above) => state.c_hi += n,
-            Some(Side::Below) => state.c_lo += n,
-            None => state.c_far += n,
-        }
-
-        // Effective disturbance as the per-op path would see it after the
-        // k-th activation of this epoch; monotone nondecreasing in k.
-        let eff_at = |k: u64| match side {
-            Some(Side::Above) => effective_counts(h0 + k, l0, f0, boost, far_coupling),
-            Some(Side::Below) => effective_counts(h0, l0 + k, f0, boost, far_coupling),
-            None => effective_counts(h0, l0, f0 + k, boost, far_coupling),
-        };
-        let d_final = eff_at(n);
-        if d_final < state.min_threshold {
-            return;
-        }
-        // The per-op path materializes cells at the first activation that
-        // reaches `min_threshold`; monotonicity makes "materialized by the
-        // end of the epoch" the same condition.
-        let (config, row_bytes) = (&self.config, self.row_bytes);
-        let cells = slab.cells[slot].get_or_insert_with(|| sample_cells(config, victim, row_bytes));
-        for cell in cells.iter_mut() {
-            if !cell.flipped && d_final >= cell.threshold {
-                cell.flipped = true;
-                // Smallest k in 1..=n with eff_at(k) >= threshold.
-                let (mut lo, mut hi) = (1u64, n);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if eff_at(mid) >= cell.threshold {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                pending.push((
-                    lo,
-                    BitFlip {
-                        row: victim,
-                        col: cell.col,
-                        bit: cell.bit,
-                        cycle: now,
-                    },
-                ));
             }
         }
     }

@@ -81,43 +81,6 @@ proptest! {
         );
     }
 
-    /// The closed-form epoch path is observationally identical to the
-    /// per-op path: same flip log (values AND order), same diagnostic
-    /// disturbance, same total-flip count — for any aggressor row, epoch
-    /// length, and per-op prelude, and regardless of per-op traffic
-    /// continuing after the epoch.
-    #[test]
-    fn activate_epoch_matches_per_op(
-        row in 2u32..30_000,
-        prelude in 0u64..300,
-        n in 1u64..400_000,
-        tail in 0u64..300,
-    ) {
-        let (mut per_op, s) = harness();
-        let (mut epoch, _) = harness();
-        let aggressor = RowId::new(BankId(0), row);
-        let start = s.last_refresh(row, s.period() * 2).unwrap() + 1;
-        for i in 0..prelude {
-            per_op.on_activation(aggressor, start + i, &s);
-            epoch.on_activation(aggressor, start + i, &s);
-        }
-        let now = start + prelude;
-        for _ in 0..n {
-            per_op.on_activation(aggressor, now, &s);
-        }
-        epoch.activate_epoch(aggressor, n, now, &s);
-        for i in 0..tail {
-            per_op.on_activation(aggressor, now + 1 + i, &s);
-            epoch.on_activation(aggressor, now + 1 + i, &s);
-        }
-        prop_assert_eq!(per_op.drain_flips(), epoch.drain_flips());
-        prop_assert_eq!(per_op.total_flips(), epoch.total_flips());
-        for d in [-2i64, -1, 1, 2] {
-            let v = RowId::new(BankId(0), (row as i64 + d) as u32);
-            prop_assert_eq!(per_op.disturbance_of(v), epoch.disturbance_of(v));
-        }
-    }
-
     /// Disturbance never goes negative or wraps: the diagnostic is
     /// monotone in activations until a reset.
     #[test]
@@ -136,34 +99,6 @@ proptest! {
         t.reset_row(victim, start + n);
         prop_assert_eq!(t.disturbance_of(victim), 0);
     }
-}
-
-#[test]
-fn activate_epoch_preserves_flip_order_across_reach2_victims() {
-    // A reach-2 device gives one aggressor four victims; an epoch long
-    // enough to flip several cells on several of them must replay the
-    // flips in exactly the per-op interleaving.
-    let mut config = DisturbanceConfig::paper_ddr3();
-    config.neighbor_reach = 2;
-    config.distance2_coupling = 0.4;
-    let timing = DramTiming::default();
-    let s = RefreshSchedule::new(&timing, 32_768);
-    let mk = || DisturbanceTracker::new(config, 8192, 32_768);
-    let (mut per_op, mut epoch) = (mk(), mk());
-    let aggressor = RowId::new(BankId(0), 500);
-    let start = s.last_refresh(500, s.period() * 4).unwrap() + 1;
-    let n = 2_000_000u64;
-    for _ in 0..n {
-        per_op.on_activation(aggressor, start, &s);
-    }
-    epoch.activate_epoch(aggressor, n, start, &s);
-    let reference = per_op.drain_flips();
-    assert!(
-        reference.len() >= 2,
-        "need multiple flips to exercise ordering, got {}",
-        reference.len()
-    );
-    assert_eq!(reference, epoch.drain_flips());
 }
 
 #[test]

@@ -55,6 +55,13 @@ impl Counter {
         self.overflowed = false;
     }
 
+    /// Whether an overflow interrupt is programmed ([`arm`](Self::arm)
+    /// without a later [`disarm`](Self::disarm)). An unarmed counter's
+    /// only state is its value, so adds to it commute.
+    pub fn armed(&self) -> bool {
+        self.overflow_at.is_some()
+    }
+
     /// Current count.
     pub fn read(&self) -> u64 {
         self.value

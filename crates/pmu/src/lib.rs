@@ -14,8 +14,11 @@
 //!   information).
 //!
 //! The platform feeds every retired memory operation to [`Pmu::observe_at`];
-//! the detector in `anvil-core` arms counters and drains sample records
-//! exactly as the kernel module does on real hardware.
+//! the window-granular drivers charge a window's traffic in bulk through
+//! [`Pmu::observe_epoch`] and [`Pmu::observe_spread`], which leave the PMU
+//! exactly as the per-op calls would. The detector in `anvil-core` arms
+//! counters and drains sample records exactly as the kernel module does
+//! on real hardware.
 //!
 //! ## Quick start
 //!

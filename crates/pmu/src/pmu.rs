@@ -1,5 +1,6 @@
 //! The performance monitoring unit: counters + sampling behind one
-//! `observe` call per retired memory operation.
+//! `observe` call per retired memory operation, plus bulk feeds that
+//! leave it exactly as those calls would.
 
 use crate::counter::Counter;
 use crate::events::{DataSource, EventKind};
@@ -8,9 +9,9 @@ use anvil_dram::Cycle;
 use anvil_faults::PebsInjector;
 use anvil_mem::{AccessKind, AccessOutcome};
 
-/// One epoch's aggregate counter traffic, accumulated in closed form by
-/// the event-driven engine instead of one [`Pmu::observe_at`] call per
-/// op. See [`Pmu::observe_epoch`] for the validity conditions.
+/// One window's aggregate counter traffic, accumulated in closed form
+/// instead of one [`Pmu::observe_at`] call per op. See
+/// [`Pmu::observe_epoch`] for the validity conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochSummary {
     /// LLC misses to charge to `LONGEST_LAT_CACHE.MISS`.
@@ -85,18 +86,19 @@ impl Pmu {
     }
 
     /// Bulk-advances the counters for one epoch of LLC-missing traffic
-    /// in closed form — the event-driven engine's alternative to feeding
-    /// `epoch.misses` individual ops through [`observe_at`].
+    /// in closed form — the alternative to feeding `epoch.misses`
+    /// individual ops through [`observe_at`].
     ///
     /// Observationally identical to per-op counting **only while the
-    /// counters are unarmed and sampling is off or the epoch carries no
-    /// sampleable ops**: an armed counter's overflow edge and the PEBS
-    /// sample spacing both depend on individual op timestamps, which an
-    /// aggregate cannot reconstruct. Callers (the epoch-skipping soak
-    /// engine) fall back to per-op observation whenever either facility
-    /// is live; `DESIGN.md` §16 records the rule.
+    /// counters are unarmed and the epoch carries no op the sampler could
+    /// take**: an armed counter's overflow edge depends on individual op
+    /// timestamps, which an aggregate cannot reconstruct, and the sampler
+    /// sees none of the epoch's ops. Traffic the sampler may take goes
+    /// through [`observe_at`] or [`observe_spread`]; `DESIGN.md` §16
+    /// records the rule.
     ///
     /// [`observe_at`]: Self::observe_at
+    /// [`observe_spread`]: Self::observe_spread
     pub fn observe_epoch(&mut self, epoch: &EpochSummary) {
         self.llc_miss.add(epoch.llc_misses, epoch.at);
         self.llc_miss_loads.add(epoch.llc_miss_loads, epoch.at);
@@ -181,6 +183,107 @@ impl Pmu {
         );
         effect
     }
+
+    /// Feeds `n` retired ops spread evenly over the `span` cycles after
+    /// `from`: op `i` is `op(i)` and retires at
+    /// `from + span × (i + 1) / (n + 1)`. Leaves the PMU exactly as `n`
+    /// [`observe_at`](Self::observe_at) calls in index order would,
+    /// down to the overflow cycle, the sample buffer, the jitter stream
+    /// and the fault injector's draws. `op` is called exactly once per
+    /// index, in order, so a caller drawing addresses from a stream
+    /// inside it draws the same sequence either way.
+    ///
+    /// While neither counter is armed, the counters are charged the
+    /// window's LLC-miss counts in bulk (saturating adds with a cap
+    /// commute, and an unarmed counter keeps no other state), and the
+    /// sampler is offered only the ops at or after its next sample
+    /// time: the rest would pass it untouched. An armed counter's
+    /// overflow edge needs each op's timestamp, so then every op goes
+    /// through [`observe_at`](Self::observe_at).
+    ///
+    /// `span × n` must fit in a `Cycle`, as the per-op timestamps it
+    /// replaces require.
+    pub fn observe_spread(
+        &mut self,
+        from: Cycle,
+        span: Cycle,
+        n: u64,
+        mut op: impl FnMut(u64) -> RetiredOp,
+    ) {
+        debug_assert!(span.checked_mul(n).is_some(), "spread times overflow");
+        let mut times = Spread::new(from, span, n);
+        if self.llc_miss.armed() || self.llc_miss_loads.armed() {
+            for i in 0..n {
+                let op = op(i);
+                self.observe_at(&op, times.next_at());
+            }
+            return;
+        }
+        let (mut misses, mut miss_loads) = (0u64, 0u64);
+        let mut next_sample = self.sampler.next_sample_at();
+        let mut at = from;
+        for i in 0..n {
+            let op = op(i);
+            let o = &op.outcome;
+            at = times.next_at();
+            if o.llc_miss() {
+                misses += 1;
+                miss_loads += u64::from(matches!(o.kind, AccessKind::Read));
+            }
+            if at >= next_sample && self.sampler.qualifies(o.kind, o.advance) {
+                let source = DataSource::from(o.level);
+                let taken = self
+                    .sampler
+                    .observe(op.vaddr, op.pid, o.kind, source, o.advance, at);
+                debug_assert!(taken, "a qualifying op at its sample time is taken");
+                next_sample = self.sampler.next_sample_at();
+            }
+        }
+        // A zero charge is not a no-op: it would clamp a value above a
+        // newly lowered saturation cap, which no per-op call does.
+        if misses > 0 {
+            self.llc_miss.add(misses, at);
+        }
+        if miss_loads > 0 {
+            self.llc_miss_loads.add(miss_loads, at);
+        }
+    }
+}
+
+/// The retirement times of `n` ops spread evenly over the `span` cycles
+/// after `from`: op `i` retires at `from + span × (i + 1) / (n + 1)`, so
+/// no op lands on either end of the span. Each step adds `span` to a
+/// quotient and remainder by `n + 1`, so no time costs a division.
+struct Spread {
+    from: Cycle,
+    stride: u64,
+    step: (u64, u64),
+    /// `span × (i + 1)` for the last op yielded, as quotient and
+    /// remainder by `stride`.
+    at: (u64, u64),
+}
+
+impl Spread {
+    fn new(from: Cycle, span: Cycle, n: u64) -> Self {
+        let stride = n + 1;
+        Spread {
+            from,
+            stride,
+            step: (span / stride, span % stride),
+            at: (0, 0),
+        }
+    }
+
+    /// The next op's retirement time.
+    fn next_at(&mut self) -> Cycle {
+        let (q, r) = (self.at.0 + self.step.0, self.at.1 + self.step.1);
+        self.at = if r >= self.stride {
+            (q + 1, r - self.stride)
+        } else {
+            (q, r)
+        };
+        self.from + self.at.0
+    }
 }
 
 /// What the PMU did in response to one retired operation.
@@ -262,5 +365,166 @@ mod tests {
         pmu.enable_sampling(SampleFilter::LoadsOnly, 0);
         let e = pmu.observe_at(&op(HitLevel::L1, AccessKind::Read, 2), 0);
         assert!(!e.sampled);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use anvil_cache::HitLevel;
+    use anvil_faults::{FaultRng, FaultScenario};
+    use proptest::prelude::*;
+
+    const LEVELS: [HitLevel; 4] = [HitLevel::L1, HitLevel::L2, HitLevel::L3, HitLevel::Memory];
+    const FILTERS: [SampleFilter; 3] = [
+        SampleFilter::LoadsOnly,
+        SampleFilter::StoresOnly,
+        SampleFilter::LoadsAndStores,
+    ];
+
+    /// A PMU in an arbitrary programmed state. `sampler` is the latency
+    /// threshold, interval, buffer capacity and filter (3: disabled);
+    /// `phase` the enable time, jitter-stream position and the interval's
+    /// scale (0: under 4 cycles, 1: under 2,000, else as drawn);
+    /// `counts` both counter values, a saturation cap (none at 6,000 and
+    /// over, applied after counting so a value can sit above it) and
+    /// which counters are armed; `faults` how far past its count each
+    /// armed threshold sits and a PEBS injector (0: none, 1: drops, 2:
+    /// address corruption) with its seed.
+    fn pmu(
+        sampler: (u64, u64, usize, usize),
+        phase: (u64, u64, u8),
+        counts: (u64, u64, u64, u8),
+        faults: (u64, u64, u8, u64),
+    ) -> Pmu {
+        let (latency_threshold, interval, buffer_capacity, filter) = sampler;
+        let (enable_at, jitter, scale) = phase;
+        let mut pmu = Pmu::new(SamplerConfig {
+            latency_threshold,
+            interval: match scale {
+                0 => interval % 4,
+                1 => interval % 2_000,
+                _ => interval,
+            },
+            buffer_capacity,
+        });
+        pmu.sampler_mut().set_jitter_state(jitter);
+        if let Some(&f) = FILTERS.get(filter) {
+            pmu.enable_sampling(f, enable_at);
+        }
+        let (c0, c1, cap, armed) = counts;
+        let (t0, t1, injector, seed) = faults;
+        for (bit, event, count, threshold) in [
+            (1, EventKind::LongestLatCacheMiss, c0, t0),
+            (2, EventKind::MemLoadUopsRetiredLlcMiss, c1, t1),
+        ] {
+            let counter = pmu.counter_mut(event);
+            if armed & bit != 0 {
+                counter.arm(count + threshold);
+            }
+            counter.add(count, 0);
+        }
+        pmu.set_counter_saturation((cap < 6_000).then_some(cap));
+        let scenario = match injector {
+            1 => Some(FaultScenario::PebsOverflow),
+            2 => Some(FaultScenario::SampleCorruption),
+            _ => None,
+        };
+        if let Some(scenario) = scenario {
+            let plan = scenario.plan(0.5, seed);
+            pmu.set_fault_injector(plan.pebs_injector(FaultRng::new(seed).fork(1)));
+        }
+        pmu
+    }
+
+    /// Op `i` of a window: drawn from `ops` cyclically, so any mix of
+    /// kinds, levels and latencies reaches the sampler. `hits` keeps
+    /// every op in the caches, so the window charges no miss.
+    fn op_of(ops: &[(bool, u8, u64, u64)], hits: bool, i: u64) -> RetiredOp {
+        let (store, level, advance, vaddr) = ops[(i % ops.len() as u64) as usize];
+        let level = if hits { level % 3 } else { level % 4 };
+        RetiredOp {
+            vaddr: vaddr.wrapping_add(i * 64),
+            pid: (i % 3) as u32,
+            outcome: AccessOutcome {
+                paddr: vaddr,
+                kind: if store {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                level: LEVELS[usize::from(level)],
+                advance,
+                dram: None,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `observe_spread` leaves the PMU exactly as one `observe_at`
+        /// per op at the spread timestamps would — counter values,
+        /// overflow latches and cycles, interrupts, samples taken and
+        /// dropped, the next sample time, the jitter stream, the buffer
+        /// and the injector's stream (all in `Pmu`'s `Debug`) — and
+        /// asks for every op exactly once, in order, over consecutive
+        /// windows of any span (a third of them under 200 cycles), some
+        /// of them empty or all cache hits.
+        #[test]
+        fn spread_feed_matches_per_op_observation(
+            sampler in (0u64..400, 0u64..40_000_000, 1usize..48, 0usize..4),
+            phase in (0u64..30_000_000, any::<u64>(), 0u8..3),
+            counts in (0u64..5_000, 0u64..5_000, 0u64..12_000, 0u8..4),
+            faults in (0u64..300, 0u64..300, 0u8..3, any::<u64>()),
+            ops in prop::collection::vec(
+                (any::<bool>(), any::<u8>(), 0u64..400, 0u64..1 << 40),
+                1..24,
+            ),
+            windows in prop::collection::vec(
+                (0u64..40_000_000, 0u64..40_000_000, 0u64..200, 0u8..8),
+                1..4,
+            ),
+        ) {
+            let mut spread = pmu(sampler, phase, counts, faults);
+            let mut per_op = pmu(sampler, phase, counts, faults);
+            for &(from, span, n, shape) in &windows {
+                let span = if span % 3 == 0 { span % 200 } else { span };
+                let (n, hits) = match shape {
+                    0 => (0, false),
+                    1 => (n, true),
+                    _ => (n, false),
+                };
+                let mut asked = Vec::new();
+                spread.observe_spread(from, span, n, |i| {
+                    asked.push(i);
+                    op_of(&ops, hits, i)
+                });
+                for i in 0..n {
+                    per_op.observe_at(&op_of(&ops, hits, i), from + span * (i + 1) / (n + 1));
+                }
+                prop_assert_eq!(asked, (0..n).collect::<Vec<_>>());
+                prop_assert_eq!(format!("{spread:?}"), format!("{per_op:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn spread_times_match_the_division_form() {
+        let mut t = Spread::new(100, 121, 120);
+        assert_eq!(t.next_at(), 101, "no op lands on the span's start");
+        let last = (1..120).map(|_| t.next_at()).last();
+        assert_eq!(last, Some(220), "nor on its end");
+        for (from, span, n) in [
+            (0, 0, 5),
+            (7, 3, 120),
+            (9, 1_000_003, 120),
+            (1, u64::MAX / 121, 120),
+        ] {
+            let mut t = Spread::new(from, span, n);
+            for i in 0..n {
+                assert_eq!(t.next_at(), from + span * (i + 1) / (n + 1), "{span} {i}");
+            }
+        }
     }
 }

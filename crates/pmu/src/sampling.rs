@@ -189,6 +189,23 @@ impl Sampler {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d) % span
     }
 
+    /// The earliest cycle at which a qualifying op is sampled; every op
+    /// offered before it is passed over without touching any state.
+    pub(crate) fn next_sample_at(&self) -> Cycle {
+        self.next_sample_at
+    }
+
+    /// Whether an op of this kind and latency qualifies for sampling at
+    /// all (armed, accepted by the filter, over the latency threshold).
+    /// [`observe`](Self::observe) takes a qualifying op exactly when it
+    /// arrives at or after [`next_sample_at`](Self::next_sample_at), and
+    /// ignores a non-qualifying one whenever it arrives.
+    pub(crate) fn qualifies(&self, kind: AccessKind, latency: Cycle) -> bool {
+        self.enabled
+            && self.filter.accepts(kind)
+            && !(matches!(kind, AccessKind::Read) && latency < self.config.latency_threshold)
+    }
+
     /// Offers one retired memory operation to the sampler. Returns `true`
     /// if it was sampled (the caller charges the PEBS-assist cost).
     pub fn observe(
@@ -200,13 +217,7 @@ impl Sampler {
         latency: Cycle,
         now: Cycle,
     ) -> bool {
-        if !self.enabled || !self.filter.accepts(kind) {
-            return false;
-        }
-        if matches!(kind, AccessKind::Read) && latency < self.config.latency_threshold {
-            return false;
-        }
-        if now < self.next_sample_at {
+        if !self.qualifies(kind, latency) || now < self.next_sample_at {
             return false;
         }
         let jitter = self.jitter();

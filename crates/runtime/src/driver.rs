@@ -9,8 +9,10 @@
 //! supervised detector under the chosen [`Engine`], tallies the outcome,
 //! and hands back a [`WindowOutcome`] the campaign's own flip policy
 //! reads. Each window's traffic is charged in bulk to the stage-1
-//! counters; individual [`RetiredOp`]s are materialized only inside
-//! stage-2 (sampled) windows, where the PEBS engine inspects them.
+//! counters. Inside a stage-2 (sampled) window, 120 [`RetiredOp`]s are
+//! spread across the window through [`Pmu::observe_spread`], which
+//! charges their misses in bulk too and offers the PEBS engine only the
+//! ops its rate limit lets it take.
 
 use anvil_cache::HitLevel;
 use anvil_core::{AnvilConfig, DetectorStage, RuntimeError, ServiceOutcome};
@@ -21,7 +23,7 @@ use anvil_pmu::{EpochSummary, Pmu, RetiredOp, SamplerConfig};
 
 use crate::supervisor::{RuntimeConfig, RuntimeStats, SupervisedOutcome, Supervisor};
 
-/// Ops materialized per stage-2 window (the sampler keeps ~30 of them).
+/// Ops spread across each stage-2 window (the sampler keeps ~30 of them).
 const SAMPLED_OPS: u64 = 120;
 
 /// Attacker pid in the simulated traffic mix.
@@ -229,7 +231,7 @@ impl WindowDriver {
     /// Drives one stage-1 window to its deadline: `paced` adversary
     /// activations plus a drawn benign load, then one supervised service.
     ///
-    /// When stage 2 is armed, 120 ops are materialized across the window
+    /// When stage 2 is armed, 120 ops are spread across the window
     /// for the PEBS engine: mostly alternating reads of the `aggressors`
     /// pair with every 16th a scattered benign read, or all benign reads
     /// when `aggressors` is `None`.
@@ -266,20 +268,23 @@ impl WindowDriver {
         } else {
             let mut bulk = misses;
             if sampled {
-                // Materialize a spread of ops for the PEBS engine.
+                // Spread ops across the window for the PEBS engine. Every
+                // benign op draws its address, sampled or not.
                 let span = deadline
                     .saturating_sub(self.last_serviced)
                     .max(SAMPLED_OPS + 1);
-                for i in 0..SAMPLED_OPS {
-                    let t = self.last_serviced + span * (i + 1) / (SAMPLED_OPS + 1);
-                    let op = match aggressors {
+                let traffic = &mut self.traffic;
+                self.pmu.observe_spread(
+                    self.last_serviced,
+                    span,
+                    SAMPLED_OPS,
+                    |i| match aggressors {
                         Some(pair) if i % 16 != 15 => {
                             dram_read(pair[(i % 2) as usize], ATTACKER_PID)
                         }
-                        _ => dram_read(self.traffic.below(1 << 30) & !63, BENIGN_PID),
-                    };
-                    self.pmu.observe_at(&op, t);
-                }
+                        _ => dram_read(traffic.below(1 << 30) & !63, BENIGN_PID),
+                    },
+                );
                 bulk = bulk.saturating_sub(SAMPLED_OPS);
             }
             bulk_misses(&mut self.pmu, bulk, deadline.saturating_sub(1));

@@ -12,9 +12,11 @@
 //! corrupted value. Mirrors `torn_checkpoint.rs`, which pins the same
 //! fail-closed discipline for the checkpoint wire format.
 
-use anvil::core::AnvilConfig;
-use anvil::dram::{AddressMapping, CpuClock, DramGeometry};
-use anvil::pmu::{EventKind, Pmu, SamplerConfig};
+use anvil::cache::HitLevel;
+use anvil::core::{AnvilConfig, AnvilDetector, DetectorStage, ServiceOutcome};
+use anvil::dram::{AddressMapping, BankId, CpuClock, Cycle, DramGeometry, DramLocation};
+use anvil::mem::{AccessKind, AccessOutcome};
+use anvil::pmu::{EventKind, Pmu, RetiredOp, SamplerConfig};
 use anvil::runtime::{RuntimeConfig, SupervisedOutcome, Supervisor};
 use proptest::prelude::*;
 
@@ -170,4 +172,157 @@ fn service_escalates_an_unrepairable_carry_to_a_restart() {
         .expect("post-restart service succeeds");
     assert!(matches!(outcome, SupervisedOutcome::Serviced { .. }));
     assert!(sup.drain_state_corruptions().is_empty());
+}
+
+const CLOCK: CpuClock = CpuClock::SANDY_BRIDGE_2_6GHZ;
+const PERIOD: Cycle = 166_400_000;
+
+/// A hardened detector and its PMU, stepped through one kind of event
+/// at a time by [`ScrubTwin::step`].
+struct ScrubTwin {
+    det: AnvilDetector,
+    pmu: Pmu,
+    /// When the current window opened.
+    start: Cycle,
+}
+
+impl ScrubTwin {
+    fn new() -> Self {
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
+        ScrubTwin { det, pmu, start: 0 }
+    }
+
+    /// One event, chosen by `kind` and shaped by `a`, `b`, `c`:
+    /// - 0: a flip in any cell, any replica subset, any bit;
+    /// - 1: a slice scrub at any slice and slice count;
+    /// - 2, 3: one serviced window: stage-1 miss traffic (under or over
+    ///   the trip threshold), or a stage-2 window of reads over a few
+    ///   rows in two banks, whose samples the ledger absorbs;
+    /// - 4: a checkpoint restored into a fresh detector, resuming the
+    ///   window or (when the downtime swallowed it) restarting stage 1;
+    /// - 5: a switch between guarded and unguarded reads.
+    ///
+    /// Returns the service outcome, if the event was a service.
+    fn step(&mut self, kind: u8, a: u64, b: u64, c: u64) -> Option<ServiceOutcome> {
+        match kind {
+            0 => {
+                let cells = self.det.state_cell_count() as u64;
+                let (mask, bit) = ((b % 8) as u8, (c % 128) as u8);
+                self.det.corrupt_state_cell((a % cells) as usize, mask, bit);
+                None
+            }
+            1 => {
+                self.det.scrub_state_slice(a % 8, 1 + b % 8);
+                None
+            }
+            2 | 3 => Some(self.service(a, b)),
+            4 => {
+                let ckpt = self.det.checkpoint(&self.pmu);
+                let deadline = self.det.deadline();
+                let now = if a.is_multiple_of(2) {
+                    self.start
+                } else {
+                    deadline
+                };
+                self.det = AnvilDetector::restore(
+                    AnvilConfig::hardened(),
+                    &CLOCK,
+                    PERIOD,
+                    now,
+                    &mut self.pmu,
+                    &ckpt,
+                )
+                .expect("the detector's own checkpoint restores");
+                self.start = now;
+                None
+            }
+            _ => {
+                self.det.set_state_guard(a.is_multiple_of(2));
+                None
+            }
+        }
+    }
+
+    fn service(&mut self, a: u64, b: u64) -> ServiceOutcome {
+        let deadline = self.det.deadline();
+        let misses = if a.is_multiple_of(3) {
+            a % 10_000
+        } else {
+            20_000 + a % 100_000
+        };
+        if self.det.stage() == DetectorStage::Sampling {
+            let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
+            let span = deadline - self.start;
+            self.pmu.observe_spread(self.start, span, 120, |i| {
+                let pick = (b >> (2 * (i % 16))) % 4;
+                let paddr = mapping.address_of(DramLocation {
+                    bank: BankId(u32::from(pick == 3)),
+                    row: 100 + 2 * pick as u32,
+                    col: 0,
+                });
+                dram_read(paddr)
+            });
+        }
+        for event in [
+            EventKind::LongestLatCacheMiss,
+            EventKind::MemLoadUopsRetiredLlcMiss,
+        ] {
+            self.pmu.counter_mut(event).add(misses, deadline - 1);
+        }
+        let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
+        let out = self
+            .det
+            .service(deadline, &mut self.pmu, &mapping, &mut |_, v| Some(v));
+        self.start = deadline;
+        out
+    }
+}
+
+fn dram_read(paddr: u64) -> RetiredOp {
+    RetiredOp {
+        vaddr: paddr,
+        pid: 7,
+        outcome: AccessOutcome {
+            paddr,
+            kind: AccessKind::Read,
+            level: HitLevel::Memory,
+            advance: 184,
+            dram: None,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Skipping scrubs while no cell may be sealed changes nothing. Over
+    /// random interleavings of flips, slice scrubs, serviced windows
+    /// (stage-2 absorption included), checkpoint restores and guard
+    /// switches, a detector matches an always-scrub twin step for step:
+    /// outcomes, stats, the corruption sequence, checkpoints and the PMU.
+    /// The twin marks every cell as possibly sealed before each step, so
+    /// every scrub it runs goes through in full.
+    #[test]
+    fn skipped_scrubs_match_an_always_scrub_twin(
+        steps in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..48),
+    ) {
+        let mut skip = ScrubTwin::new();
+        let mut always = ScrubTwin::new();
+        for &(kind, a, b, c) in &steps {
+            always.det.mark_state_unverified();
+            let out = skip.step(kind, a, b, c);
+            prop_assert_eq!(&out, &always.step(kind, a, b, c));
+            prop_assert_eq!(skip.det.stats(), always.det.stats());
+            prop_assert_eq!(
+                skip.det.take_state_corruptions(),
+                always.det.take_state_corruptions()
+            );
+            prop_assert_eq!(
+                skip.det.checkpoint(&skip.pmu),
+                always.det.checkpoint(&always.pmu)
+            );
+            prop_assert_eq!(format!("{:?}", skip.pmu), format!("{:?}", always.pmu));
+        }
+    }
 }

@@ -453,8 +453,10 @@ impl SuspicionLedger {
             return;
         }
         let of = of.max(1);
-        // The first local index `j` with `(base + j) % of == slice % of`.
-        let first = (slice % of + of - base % of) % of;
+        // The first local index `j` with `(base + j) % of == slice % of`,
+        // found without an add that could wrap for `of` near `u64::MAX`.
+        let (s, b) = (slice % of, base % of);
+        let first = if s >= b { s - b } else { of - (b - s) };
         let cells = self.cell_count() as u64;
         for j in (first..cells).step_by(usize::try_from(of).unwrap_or(usize::MAX)) {
             let (row, e) = &mut self.slots[self.order[(j / 2) as usize]];
@@ -504,7 +506,7 @@ struct RowGroup {
 pub(crate) struct LocalityScratch {
     samples: Vec<RowSample>,
     /// The samples' indices in row order (see [`row_order`]).
-    order: Vec<u64>,
+    order: Vec<u128>,
     groups: Vec<RowGroup>,
     pids: Vec<u32>,
 }
@@ -562,28 +564,18 @@ pub fn analyze_with_ledger(
 
 /// Lists the indices of `samples` in `order` by row, ties in sampling
 /// order: the order a stable sort by row would leave the samples in.
-/// Returns the mask that reads an index back out of an `order` entry.
 ///
-/// An entry is the sample's packed row above its 16-bit index, so one
-/// unstable sort of plain integers does the work. Samples the packing
-/// cannot hold (a bank id or an index of 2^16 or more) are sorted in
-/// place by row instead, and listed as they then stand.
-fn row_order(samples: &mut [RowSample], order: &mut Vec<u64>) -> u64 {
-    const INDEX: u64 = 0xffff;
+/// An entry is the sample's bank and row above its index, so one
+/// unstable sort of plain integers does the work.
+fn row_order(samples: &[RowSample], order: &mut Vec<u128>) {
     order.clear();
-    if samples.len() as u64 > INDEX + 1 || samples.iter().any(|s| u64::from(s.row.bank.0) > INDEX) {
-        samples.sort_by_key(|s| s.row);
-        order.extend(0..samples.len() as u64);
-        return u64::MAX;
-    }
     order.extend(
         samples
             .iter()
-            .zip(0u64..)
-            .map(|(s, i)| (u64::from(s.row.bank.0) << 48) | (u64::from(s.row.row) << 16) | i),
+            .zip(0u128..)
+            .map(|(s, i)| (u128::from(s.row.bank.0) << 96) | (u128::from(s.row.row) << 64) | i),
     );
     order.sort_unstable();
-    INDEX
 }
 
 /// [`analyze_with_ledger`] over the samples in `scratch`.
@@ -615,12 +607,12 @@ pub(crate) fn analyze_window(
     // visiting them in row order. Ties keep their sampling order, so each
     // row's pids keep their first-seen order, which the ledger stores and
     // checkpoints carry.
-    let index = row_order(samples, order);
+    row_order(samples, order);
     groups.clear();
     pids.clear();
     let mut total_weight: u64 = 0;
     for &entry in order.iter() {
-        let s = &samples[(entry & index) as usize];
+        let s = &samples[entry as u64 as usize];
         total_weight += u64::from(s.weight);
         match groups.last_mut() {
             Some(g) if g.row == s.row => {
@@ -1290,10 +1282,10 @@ mod oracle {
             .collect()
     }
 
-    /// Bank ids and sample counts past the packed sort keys fall back to
-    /// sorting the samples themselves, with the same report.
+    /// Bank ids near `u32::MAX` and windows of more than 2^16 samples
+    /// group and order like the reference.
     #[test]
-    fn samples_past_the_packed_keys_analyze_the_same() {
+    fn extreme_banks_and_sample_counts_analyze_the_same() {
         let config = AnvilConfig::hardened();
         let raw = |n: u32, bank: u32| -> Vec<Sample> {
             (0..n)
@@ -1386,7 +1378,8 @@ mod oracle {
         /// corruption sequence all match the reference, guarded and
         /// unguarded. The reference scrubs every cell absorption touches
         /// and walks every entry in a slice scrub; the ledger skips both
-        /// while nothing may be sealed and strides over congruent cells.
+        /// while nothing may be sealed and strides over congruent cells,
+        /// for moduli from 0 up and at or just below `u64::MAX`.
         #[test]
         fn analysis_and_ledger_match_the_map_based_reference(
             windows in prop::collection::vec(
@@ -1394,7 +1387,7 @@ mod oracle {
                     prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
                     0u64..400_000,
                     prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
-                    prop::collection::vec((0u64..9, 0u64..9, 0u64..7), 0..3),
+                    prop::collection::vec((0u64..9, 0u64..18, 0u64..7), 0..3),
                 ),
                 1..10,
             ),
@@ -1432,6 +1425,8 @@ mod oracle {
                     }
                 }
                 for &(slice, of, base) in scrubs {
+                    // Half the moduli sit at or just below `u64::MAX`.
+                    let of = if of < 9 { of } else { u64::MAX - (of - 9) };
                     ledger.scrub_cells(slice, of, base);
                     reference.scrub_cells(slice, of, base);
                     prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));

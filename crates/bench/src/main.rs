@@ -115,8 +115,10 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => return usage(&e.to_string()),
     };
-    // Thousands of injected detector crashes would otherwise each print
-    // a panic report.
+    // A genuine panic in a cell is caught and reported as a failed cell
+    // (or, in the detector, recovered from by its supervisor); the hook
+    // keeps it from also printing a report. Injected detector crashes
+    // do not unwind.
     anvil_runtime::install_quiet_panic_hook();
     let (record, report) = match command {
         Command::Summary => {

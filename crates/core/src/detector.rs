@@ -850,13 +850,15 @@ impl AnvilDetector {
     /// and every quiet boundary stores a sticky-sampling depth of zero.
     ///
     /// The ledger rows are written into `rows`, reusing its allocations
-    /// (its rows' pid buffers included).
+    /// (its rows' pid buffers included), with `spare` as in
+    /// [`checkpoint_reusing`](Self::checkpoint_reusing).
     pub fn materialize_quiet_checkpoint(
         &self,
         q: &QuietCheckpoint,
         mut rows: Vec<LedgerRow>,
+        spare: &mut Vec<LedgerRow>,
     ) -> DetectorCheckpoint {
-        self.ledger.rows_into(&mut rows);
+        self.ledger.rows_into(&mut rows, spare);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -1030,7 +1032,7 @@ impl AnvilDetector {
     /// PEBS buffer are volatile hardware state and are deliberately not
     /// captured; the sampler's *programmed* jitter-stream position is.
     pub fn checkpoint(&self, pmu: &Pmu) -> DetectorCheckpoint {
-        self.checkpoint_reusing(pmu, Vec::new())
+        self.checkpoint_reusing(pmu, Vec::new(), &mut Vec::new())
     }
 
     /// [`checkpoint`](Self::checkpoint), writing the ledger rows into
@@ -1038,8 +1040,17 @@ impl AnvilDetector {
     /// included) — for a writer that replaces its previous checkpoint
     /// with each new one, so the write allocates nothing once the buffers
     /// have grown to the ledger's size.
-    pub fn checkpoint_reusing(&self, pmu: &Pmu, mut rows: Vec<LedgerRow>) -> DetectorCheckpoint {
-        self.ledger.rows_into(&mut rows);
+    ///
+    /// `spare` is the writer's store of rows between writes: rows the
+    /// ledger no longer fills move there, pid buffers and all, and a
+    /// ledger that has grown takes its extra rows from there first.
+    pub fn checkpoint_reusing(
+        &self,
+        pmu: &Pmu,
+        mut rows: Vec<LedgerRow>,
+        spare: &mut Vec<LedgerRow>,
+    ) -> DetectorCheckpoint {
+        self.ledger.rows_into(&mut rows, spare);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,

@@ -11,7 +11,7 @@
 
 use crate::config::AnvilConfig;
 use crate::guard::{GuardedCell, GuardedValue, StateCorruption, StateSite};
-use anvil_dram::{Cycle, RowId};
+use anvil_dram::{BankId, Cycle, RowId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -100,22 +100,31 @@ impl LocalityReport {
 /// saturating accumulation because a long-horizon service can absorb
 /// evidence for millions of windows.
 ///
-/// Entries live in slots that never move: `order` lists the live slots
-/// in row order, so a window's absorption updates every entry where it
-/// sits and rebuilds only the list of slot indices. A pruned entry's
-/// slot, pid buffer included, is reused by the next new row.
+/// Entries live in slots that never move. `order` lists the live
+/// entries in row order, each as its row's packed key beside its slot,
+/// so finding where a fresh row falls compares integers without loading
+/// the slot. Score cells sit in one slot-indexed array apart from the
+/// window counts and pids, so a window's decay of the entries without
+/// fresh evidence is a tight walk over `order` and the scores; only the
+/// fresh rows touch the rest of their slot. A pruned entry's slot, pid
+/// buffer included, is reused by the next new row. Checkpoint rows are
+/// written over the previous checkpoint's (`rows_into`), with surplus
+/// rows kept in a spare list the writer owns for the next write.
 #[derive(Debug, Clone)]
 pub struct SuspicionLedger {
-    /// Entry slots, in no particular order. Only the slots `order` names
-    /// are live; the rest hold pruned entries awaiting reuse.
-    slots: Vec<(RowId, LedgerEntry)>,
-    /// The live slots in row order, each row at most once.
-    order: Vec<usize>,
+    /// Score cells by slot. Only the slots `order` names are live; the
+    /// rest hold pruned entries awaiting reuse.
+    scores: Vec<GuardedCell<f64>>,
+    /// Window counts and pids by slot, like `scores`.
+    slots: Vec<LedgerEntry>,
+    /// The live entries in row order, each row at most once: the row's
+    /// [`site_key`] and its slot.
+    order: Vec<(u64, usize)>,
     /// Slots free for reuse.
     free: Vec<usize>,
     /// Always empty between calls: the allocation
     /// [`absorb`](Self::absorb) rebuilds `order` into.
-    spare: Vec<usize>,
+    spare: Vec<(u64, usize)>,
     /// Whether entry cells are read by checksummed majority (`true`, the
     /// default) or blind replica-0 trust (the `selfdefense` baseline).
     /// Runtime policy: never serialized, ignored by equality.
@@ -136,6 +145,7 @@ pub struct SuspicionLedger {
 impl Default for SuspicionLedger {
     fn default() -> Self {
         SuspicionLedger {
+            scores: Vec::new(),
             slots: Vec::new(),
             order: Vec::new(),
             free: Vec::new(),
@@ -157,42 +167,28 @@ impl PartialEq for SuspicionLedger {
     }
 }
 
-/// One row's accumulated evidence. Score and window count live in
-/// guarded cells: they are exactly the values a state-targeting attacker
-/// wants to clear (a zeroed score un-convicts an aggressor).
+/// One row's accumulated evidence apart from its score. Score and window
+/// count live in guarded cells: they are exactly the values a
+/// state-targeting attacker wants to clear (a zeroed score un-convicts
+/// an aggressor).
 #[derive(Debug, Clone, PartialEq)]
 struct LedgerEntry {
-    /// Decayed sum of per-window estimated activation rates.
-    score: GuardedCell<f64>,
     /// Distinct stage-2 windows that contributed evidence.
     windows: GuardedCell<u64>,
-    /// Processes whose samples contributed (sorted, deduplicated).
+    /// Processes whose samples contributed, in first-seen order.
     pids: Vec<u32>,
 }
 
-impl LedgerEntry {
-    /// The entry of a row with no evidence yet.
-    fn new() -> Self {
-        LedgerEntry {
-            score: GuardedCell::new(0.0),
-            windows: GuardedCell::new(0),
-            pids: Vec::new(),
-        }
-    }
-
-    /// Resets a pruned entry to [`new`](Self::new)'s state, keeping its
-    /// pid buffer's allocation.
-    fn reset(&mut self) {
-        self.score.store(0.0);
-        self.windows.store(0);
-        self.pids.clear();
-    }
-}
-
 /// Packs a row id into the stable `u64` key [`StateSite`] uses, so
-/// corruption accounting survives ledger pruning and re-insertion.
+/// corruption accounting survives ledger pruning and re-insertion. Keys
+/// order like the rows they pack.
 fn site_key(row: RowId) -> u64 {
     (u64::from(row.bank.0) << 32) | u64::from(row.row)
+}
+
+/// The row a [`site_key`] packs.
+fn key_row(key: u64) -> RowId {
+    RowId::new(BankId((key >> 32) as u32), key as u32)
 }
 
 /// Mode-aware non-mutating cell read.
@@ -201,6 +197,21 @@ fn read_cell<T: GuardedValue>(guarded: bool, cell: &GuardedCell<T>) -> T {
         cell.peek()
     } else {
         cell.raw()
+    }
+}
+
+/// Copies a row's pids into `out` (cleared first). A ledger row carries
+/// one or two pids, which are pushed directly rather than through a
+/// general slice copy.
+fn copy_pids(out: &mut Vec<u32>, pids: &[u32]) {
+    out.clear();
+    match *pids {
+        [a] => out.push(a),
+        [a, b] => {
+            out.push(a);
+            out.push(b);
+        }
+        _ => out.extend_from_slice(pids),
     }
 }
 
@@ -220,6 +231,12 @@ pub struct LedgerRow {
 /// Ledger scores below this are pruned (the row has decayed to noise).
 const PRUNE_BELOW: f64 = 1.0;
 
+/// Whether a score has decayed to noise (or is NaN, which no comparison
+/// keeps).
+fn prunes(score: f64) -> bool {
+    score < PRUNE_BELOW || score.is_nan()
+}
+
 impl SuspicionLedger {
     /// An empty ledger.
     pub fn new() -> Self {
@@ -236,17 +253,19 @@ impl SuspicionLedger {
         self.order.is_empty()
     }
 
-    /// The live entries in row order.
-    fn entries(&self) -> impl Iterator<Item = &(RowId, LedgerEntry)> {
-        self.order.iter().map(|&slot| &self.slots[slot])
+    /// The live entries in row order: key, score cell, and the rest.
+    fn entries(&self) -> impl Iterator<Item = (u64, &GuardedCell<f64>, &LedgerEntry)> {
+        self.order
+            .iter()
+            .map(|&(key, slot)| (key, &self.scores[slot], &self.slots[slot]))
     }
 
     /// The accumulated score for `row` (zero when absent).
     pub fn score(&self, row: RowId) -> f64 {
         self.order
-            .binary_search_by_key(&row, |&slot| self.slots[slot].0)
+            .binary_search_by_key(&site_key(row), |&(key, _)| key)
             .map_or(0.0, |i| {
-                read_cell(self.guarded, &self.slots[self.order[i]].1.score)
+                read_cell(self.guarded, &self.scores[self.order[i].1])
             })
     }
 
@@ -256,19 +275,20 @@ impl SuspicionLedger {
     /// `convict` sees every fresh row that survives the prune, with its
     /// updated score, window count and pids.
     ///
-    /// Guarded: every cell is scrubbed as absorption touches it, so a
-    /// corrupted score is reported (and repaired or escalated) *before*
-    /// the decayed value is recomputed from it — never silently absorbed
-    /// by the rewrite. A scrubbed cell is resealed, so its value is read
-    /// straight back from replica 0. Reports come out decay-only entries
-    /// first, then fresh rows, each in row order. While no cell may be
-    /// sealed the scrubs would find nothing, and are skipped.
+    /// Guarded: every live cell is scrubbed before absorption recomputes
+    /// it, so a corrupted score is reported (and repaired or escalated)
+    /// *before* the decayed value is recomputed from it — never silently
+    /// absorbed by the rewrite. A scrubbed cell is resealed, so its value
+    /// is read straight back from replica 0. Reports come out decay-only
+    /// entries first, then fresh rows, each in row order. While no cell
+    /// may be sealed the scrubs would find nothing, and are skipped.
     ///
-    /// Each entry is updated in its slot; a new row takes a free slot and
-    /// a pruned one frees its slot. Only the row-ordered slot list is
-    /// rebuilt, into the spare buffer's allocation, so once the buffers
-    /// have grown to the ledger's size a window moves no entry and
-    /// allocates nothing.
+    /// The entries below each fresh row's key are decayed as one run over
+    /// `order` and the score array; then the fresh row is folded in, into
+    /// its entry's slot or a new one. A pruned entry frees its slot. Only
+    /// the row-ordered list is rebuilt, into the spare buffer's
+    /// allocation, so once the buffers have grown to the ledger's size a
+    /// window moves no entry and allocates nothing.
     fn absorb(
         &mut self,
         decay: f64,
@@ -276,77 +296,106 @@ impl SuspicionLedger {
         pid_pool: &[u32],
         mut convict: impl FnMut(&RowGroup, f64, u64, &[u32]),
     ) {
-        let mut fresh_reports = Vec::new();
-        let scrub = self.guarded && self.may_be_sealed;
+        if self.guarded && self.may_be_sealed {
+            self.scrub_live(fresh);
+            // Every live cell is now pristine, stores keep it so, and
+            // fresh slots are reset: nothing is sealed any more.
+            self.may_be_sealed = false;
+        }
         let old = std::mem::replace(&mut self.order, std::mem::take(&mut self.spare));
-        let mut old_slots = old.iter().copied().peekable();
-        let mut groups = fresh.iter().peekable();
-        loop {
-            let old_row = old_slots.peek().map(|&slot| self.slots[slot].0);
-            let (slot, group) = match (old_row, groups.peek()) {
-                (None, None) => break,
-                (Some(row), g) if g.is_none_or(|g| row <= g.row) => (
-                    old_slots.next().expect("peeked"),
-                    groups.next_if(|g| g.row == row),
-                ),
-                _ => {
-                    let g = groups.next().expect("peeked");
-                    (self.new_slot(g.row), Some(g))
+        let mut rest = &old[..];
+        for g in fresh {
+            let key = site_key(g.row);
+            let run = rest
+                .iter()
+                .position(|&(k, _)| k >= key)
+                .unwrap_or(rest.len());
+            self.decay_run(decay, &rest[..run]);
+            rest = &rest[run..];
+            let slot = match rest.first() {
+                Some(&(k, slot)) if k == key => {
+                    rest = &rest[1..];
+                    slot
                 }
+                _ => self.new_slot(),
             };
-            let (row, e) = &mut self.slots[slot];
-            if scrub {
-                let reports = if group.is_some() {
-                    &mut fresh_reports
-                } else {
-                    &mut self.pending
-                };
-                if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(*row))) {
-                    reports.push(c);
-                }
-                if let Some(c) = e.windows.scrub(StateSite::LedgerWindows(site_key(*row))) {
-                    reports.push(c);
-                }
-            }
-            let rate = group.map_or(0.0, |g| g.rate);
-            let score = crate::transition::ledger_step(decay, e.score.raw(), rate);
-            e.score.store(score);
-            if score < PRUNE_BELOW || score.is_nan() {
+            let cell = &mut self.scores[slot];
+            let score = crate::transition::ledger_step(decay, cell.raw(), g.rate);
+            cell.store(score);
+            if prunes(score) {
                 self.free.push(slot);
                 continue;
             }
-            if let Some(g) = group {
-                let windows = e.windows.raw().saturating_add(1);
-                e.windows.store(windows);
-                for &pid in &pid_pool[g.pids.clone()] {
-                    if !e.pids.contains(&pid) {
-                        e.pids.push(pid);
-                    }
+            let e = &mut self.slots[slot];
+            let windows = e.windows.raw().saturating_add(1);
+            e.windows.store(windows);
+            for &pid in &pid_pool[g.pids.clone()] {
+                if !e.pids.contains(&pid) {
+                    e.pids.push(pid);
                 }
-                convict(g, score, windows, &e.pids);
             }
-            self.order.push(slot);
+            convict(g, score, windows, &e.pids);
+            self.order.push((key, slot));
         }
+        self.decay_run(decay, rest);
         self.spare = old;
         self.spare.clear();
+    }
+
+    /// Scrubs every live entry's cells ahead of an absorption of `fresh`,
+    /// queueing reports in the order a walk that scrubbed each entry as
+    /// it absorbed it would: decay-only entries first, then entries with
+    /// fresh evidence, each in row order.
+    fn scrub_live(&mut self, fresh: &[RowGroup]) {
+        let mut fresh_reports = Vec::new();
+        let mut fresh_keys = fresh.iter().map(|g| site_key(g.row)).peekable();
+        for &(key, slot) in &self.order {
+            while fresh_keys.next_if(|&k| k < key).is_some() {}
+            let reports = if fresh_keys.peek() == Some(&key) {
+                &mut fresh_reports
+            } else {
+                &mut self.pending
+            };
+            reports.extend(self.scores[slot].scrub(StateSite::LedgerScore(key)));
+            reports.extend(
+                self.slots[slot]
+                    .windows
+                    .scrub(StateSite::LedgerWindows(key)),
+            );
+        }
         self.pending.append(&mut fresh_reports);
-        // Every live cell was scrubbed or stored, and fresh slots are
-        // reset: nothing is sealed any more.
-        if scrub {
-            self.may_be_sealed = false;
+    }
+
+    /// Decays a run of entries without fresh evidence, appending the
+    /// survivors to `order` and freeing the slots of the pruned.
+    fn decay_run(&mut self, decay: f64, run: &[(u64, usize)]) {
+        for &(key, slot) in run {
+            let cell = &mut self.scores[slot];
+            let score = crate::transition::ledger_step(decay, cell.raw(), 0.0);
+            cell.store(score);
+            if prunes(score) {
+                self.free.push(slot);
+            } else {
+                self.order.push((key, slot));
+            }
         }
     }
 
-    /// A slot holding a fresh entry for `row`: a pruned entry's slot when
+    /// A slot holding a fresh entry: a pruned entry's slot, reset, when
     /// one is free, else a new one.
-    fn new_slot(&mut self, row: RowId) -> usize {
+    fn new_slot(&mut self) -> usize {
         if let Some(slot) = self.free.pop() {
-            let (r, e) = &mut self.slots[slot];
-            *r = row;
-            e.reset();
+            self.scores[slot].store(0.0);
+            let e = &mut self.slots[slot];
+            e.windows.store(0);
+            e.pids.clear();
             slot
         } else {
-            self.slots.push((row, LedgerEntry::new()));
+            self.scores.push(GuardedCell::new(0.0));
+            self.slots.push(LedgerEntry {
+                windows: GuardedCell::new(0),
+                pids: Vec::new(),
+            });
             self.slots.len() - 1
         }
     }
@@ -354,7 +403,7 @@ impl SuspicionLedger {
     /// Snapshots the ledger as serializable rows (checkpointing).
     pub fn to_rows(&self) -> Vec<LedgerRow> {
         let mut rows = Vec::new();
-        self.rows_into(&mut rows);
+        self.rows_into(&mut rows, &mut Vec::new());
         rows
     }
 
@@ -362,21 +411,29 @@ impl SuspicionLedger {
     /// and reusing its allocations (the rows' pid buffers included), so a
     /// checkpoint written over the previous one allocates nothing once
     /// the buffers have grown to the ledger's size.
-    pub(crate) fn rows_into(&self, rows: &mut Vec<LedgerRow>) {
-        rows.truncate(self.len());
-        let mut entries = self.entries();
-        for (out, (row, e)) in rows.iter_mut().zip(&mut entries) {
-            out.row = *row;
-            out.score = read_cell(self.guarded, &e.score);
-            out.windows = read_cell(self.guarded, &e.windows);
-            out.pids.clone_from(&e.pids);
+    ///
+    /// `spare` holds rows kept between writes: rows beyond the ledger's
+    /// length move there, pid buffers and all, and a longer ledger takes
+    /// its extra rows from there before allocating new ones. Whatever
+    /// `rows` and `spare` hold on entry, `rows` ends equal to
+    /// [`to_rows`](Self::to_rows).
+    pub(crate) fn rows_into(&self, rows: &mut Vec<LedgerRow>, spare: &mut Vec<LedgerRow>) {
+        let n = self.len();
+        spare.extend(rows.drain(n.min(rows.len())..));
+        while rows.len() < n {
+            rows.push(spare.pop().unwrap_or_else(|| LedgerRow {
+                row: RowId::new(BankId(0), 0),
+                score: 0.0,
+                windows: 0,
+                pids: Vec::new(),
+            }));
         }
-        rows.extend(entries.map(|(row, e)| LedgerRow {
-            row: *row,
-            score: read_cell(self.guarded, &e.score),
-            windows: read_cell(self.guarded, &e.windows),
-            pids: e.pids.clone(),
-        }));
+        for (out, (key, score, e)) in rows.iter_mut().zip(self.entries()) {
+            out.row = key_row(key);
+            out.score = read_cell(self.guarded, score);
+            out.windows = read_cell(self.guarded, &e.windows);
+            copy_pids(&mut out.pids, &e.pids);
+        }
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of
@@ -385,18 +442,13 @@ impl SuspicionLedger {
     pub fn from_rows(rows: &[LedgerRow]) -> Self {
         let by_row: BTreeMap<RowId, &LedgerRow> = rows.iter().map(|r| (r.row, r)).collect();
         SuspicionLedger {
-            order: (0..by_row.len()).collect(),
+            order: by_row.keys().map(|&row| site_key(row)).zip(0..).collect(),
+            scores: by_row.values().map(|r| GuardedCell::new(r.score)).collect(),
             slots: by_row
-                .into_iter()
-                .map(|(row, r)| {
-                    (
-                        row,
-                        LedgerEntry {
-                            score: GuardedCell::new(r.score),
-                            windows: GuardedCell::new(r.windows),
-                            pids: r.pids.clone(),
-                        },
-                    )
+                .values()
+                .map(|r| LedgerEntry {
+                    windows: GuardedCell::new(r.windows),
+                    pids: r.pids.clone(),
                 })
                 .collect(),
             ..SuspicionLedger::default()
@@ -421,14 +473,14 @@ impl SuspicionLedger {
     /// (entry order × {score, windows}). Returns the [`StateSite`] hit,
     /// or `None` when the index is out of range.
     pub fn corrupt_cell(&mut self, index: usize, replica_mask: u8, bit: u8) -> Option<StateSite> {
-        let (row, entry) = &mut self.slots[*self.order.get(index / 2)?];
+        let &(key, slot) = self.order.get(index / 2)?;
         self.may_be_sealed = true;
         Some(if index.is_multiple_of(2) {
-            entry.score.corrupt(replica_mask, bit);
-            StateSite::LedgerScore(site_key(*row))
+            self.scores[slot].corrupt(replica_mask, bit);
+            StateSite::LedgerScore(key)
         } else {
-            entry.windows.corrupt(replica_mask, bit);
-            StateSite::LedgerWindows(site_key(*row))
+            self.slots[slot].windows.corrupt(replica_mask, bit);
+            StateSite::LedgerWindows(key)
         })
     }
 
@@ -459,17 +511,19 @@ impl SuspicionLedger {
         let first = if s >= b { s - b } else { of - (b - s) };
         let cells = self.cell_count() as u64;
         for j in (first..cells).step_by(usize::try_from(of).unwrap_or(usize::MAX)) {
-            let (row, e) = &mut self.slots[self.order[(j / 2) as usize]];
+            let (key, slot) = self.order[(j / 2) as usize];
             let found = if j % 2 == 0 {
-                e.score.scrub(StateSite::LedgerScore(site_key(*row)))
+                self.scores[slot].scrub(StateSite::LedgerScore(key))
             } else {
-                e.windows.scrub(StateSite::LedgerWindows(site_key(*row)))
+                self.slots[slot]
+                    .windows
+                    .scrub(StateSite::LedgerWindows(key))
             };
             self.pending.extend(found);
         }
         let sealed = self
             .entries()
-            .any(|(_, e)| !e.score.pristine() || !e.windows.pristine());
+            .any(|(_, score, e)| !score.pristine() || !e.windows.pristine());
         self.may_be_sealed = sealed;
     }
 
@@ -1085,8 +1139,15 @@ mod oracle {
     const TS: Cycle = 15_600_000;
     const PERIOD: Cycle = 166_400_000;
 
+    /// One reference entry: every cell of a row together.
+    struct RefEntry {
+        score: GuardedCell<f64>,
+        windows: GuardedCell<u64>,
+        pids: Vec<u32>,
+    }
+
     struct RefLedger {
-        entries: BTreeMap<RowId, LedgerEntry>,
+        entries: BTreeMap<RowId, RefEntry>,
         guarded: bool,
         pending: Vec<StateCorruption>,
     }
@@ -1095,7 +1156,7 @@ mod oracle {
         fn absorb(&mut self, decay: f64, evidence: &BTreeMap<RowId, (f64, Vec<u32>)>) {
             let guarded = self.guarded;
             let pending = &mut self.pending;
-            let mut touch = |row: RowId, e: &mut LedgerEntry, rate: f64, bump: bool| {
+            let mut touch = |row: RowId, e: &mut RefEntry, rate: f64, bump: bool| {
                 if guarded {
                     if let Some(c) = e.score.scrub(StateSite::LedgerScore(site_key(row))) {
                         pending.push(c);
@@ -1118,7 +1179,7 @@ mod oracle {
                 }
             }
             for (&row, (rate, pids)) in evidence {
-                let e = self.entries.entry(row).or_insert_with(|| LedgerEntry {
+                let e = self.entries.entry(row).or_insert_with(|| RefEntry {
                     score: GuardedCell::new(0.0),
                     windows: GuardedCell::new(0),
                     pids: Vec::new(),
@@ -1308,7 +1369,23 @@ mod oracle {
     }
 
     type Sample = (u32, u32, u32, u8);
-    type Window = (Vec<Sample>, u64, Vec<(usize, u8, u8)>, Vec<(u64, u64, u64)>);
+    /// A stale checkpoint row: bank, row and pid count.
+    type Stale = (u32, u32, u8);
+    type Window = (
+        Vec<Sample>,
+        u64,
+        Vec<(usize, u8, u8)>,
+        (Vec<(u64, u64, u64)>, Vec<Stale>, Vec<Stale>),
+    );
+
+    fn stale_rows(raw: &[Stale]) -> impl Iterator<Item = LedgerRow> + '_ {
+        raw.iter().map(|&(bank, row, pids)| LedgerRow {
+            row: RowId::new(BankId(bank), row),
+            score: f64::from(row) * 1.5,
+            windows: u64::from(bank),
+            pids: (0..u32::from(pids)).collect(),
+        })
+    }
 
     fn to_samples(raw: &[Sample]) -> Vec<RowSample> {
         raw.iter()
@@ -1349,7 +1426,7 @@ mod oracle {
         for r in &rows {
             reference.entries.insert(
                 r.row,
-                LedgerEntry {
+                RefEntry {
                     score: GuardedCell::new(r.score),
                     windows: GuardedCell::new(r.windows),
                     pids: r.pids.clone(),
@@ -1373,13 +1450,19 @@ mod oracle {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Over several windows of random samples (rows, banks, pids,
         /// weights, empty and zero-weight windows, zero-miss windows) with
-        /// ledger cells corrupted and slice-scrubbed between windows, the
-        /// reports, the ledger rows (pid order included) and the
-        /// corruption sequence all match the reference, guarded and
+        /// ledger cells corrupted by index and slice-scrubbed between
+        /// windows, the reports, the ledger rows (pid order included) and
+        /// the corruption sequence all match the reference, guarded and
         /// unguarded. The reference scrubs every cell absorption touches
         /// and walks every entry in a slice scrub; the ledger skips both
         /// while nothing may be sealed and strides over congruent cells,
         /// for moduli from 0 up and at or just below `u64::MAX`.
+        ///
+        /// Checkpoint rows are written each window into buffers kept
+        /// across windows, as a checkpoint writer keeps them, after stale
+        /// rows of random length and contents are pushed onto both the
+        /// rows and the spare list: the rows written equal `to_rows()`,
+        /// and no row (with its pid buffer) is lost between the two.
         #[test]
         fn analysis_and_ledger_match_the_map_based_reference(
             windows in prop::collection::vec(
@@ -1387,7 +1470,11 @@ mod oracle {
                     prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
                     0u64..400_000,
                     prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
-                    prop::collection::vec((0u64..9, 0u64..18, 0u64..7), 0..3),
+                    (
+                        prop::collection::vec((0u64..9, 0u64..18, 0u64..7), 0..3),
+                        prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..6),
+                        prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..6),
+                    ),
                 ),
                 1..10,
             ),
@@ -1401,8 +1488,9 @@ mod oracle {
                 guarded,
                 pending: Vec::new(),
             };
+            let (mut rows, mut spare) = (Vec::new(), Vec::new());
             let windows: &[Window] = &windows;
-            for (raw, misses, hits, scrubs) in windows {
+            for (raw, misses, hits, (scrubs, stale, stale_spare)) in windows {
                 // One window in twenty carries no misses.
                 let misses = if *misses < 20_000 { 0 } else { *misses };
                 let samples = to_samples(raw);
@@ -1415,6 +1503,12 @@ mod oracle {
                 );
                 prop_assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
                 prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
+                rows.extend(stale_rows(stale));
+                spare.extend(stale_rows(stale_spare));
+                let held = rows.len() + spare.len();
+                ledger.rows_into(&mut rows, &mut spare);
+                prop_assert_eq!(row_bits(&rows), row_bits(&reference.to_rows()));
+                prop_assert_eq!(rows.len() + spare.len(), held.max(ledger.len()));
                 for &(cell, mask, bit) in hits {
                     let cells = ledger.cell_count();
                     if cells > 0 {

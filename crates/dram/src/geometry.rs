@@ -144,15 +144,15 @@ impl RowId {
     }
 
     /// Iterates over the rows within `n` of this one (excluding itself),
-    /// clipped to the bank boundaries. These are the potential victims when
-    /// this row is an aggressor.
-    pub fn neighbors(&self, n: u32, geometry: &DramGeometry) -> Vec<RowId> {
-        let lo = self.row.saturating_sub(n);
-        let hi = (self.row + n).min(geometry.rows_per_bank - 1);
+    /// clipped to the bank boundaries, in row order. These are the
+    /// potential victims when this row is an aggressor.
+    pub fn neighbors(&self, n: u32, geometry: &DramGeometry) -> impl Iterator<Item = RowId> {
+        let RowId { bank, row } = *self;
+        let lo = row.saturating_sub(n);
+        let hi = row.saturating_add(n).min(geometry.rows_per_bank - 1);
         (lo..=hi)
-            .filter(|&r| r != self.row)
-            .map(|r| RowId::new(self.bank, r))
-            .collect()
+            .filter(move |&r| r != row)
+            .map(move |r| RowId::new(bank, r))
     }
 }
 
@@ -214,7 +214,10 @@ mod tests {
         let first = RowId::new(BankId(0), 0);
         assert_eq!(first.below(), None);
         assert_eq!(first.above(&g), Some(RowId::new(BankId(0), 1)));
-        assert_eq!(first.neighbors(1, &g), vec![RowId::new(BankId(0), 1)]);
+        assert_eq!(
+            first.neighbors(1, &g).collect::<Vec<_>>(),
+            vec![RowId::new(BankId(0), 1)]
+        );
 
         let last = RowId::new(BankId(0), g.rows_per_bank - 1);
         assert_eq!(last.above(&g), None);
@@ -224,7 +227,7 @@ mod tests {
         );
 
         let mid = RowId::new(BankId(2), 10);
-        let n = mid.neighbors(2, &g);
+        let n: Vec<RowId> = mid.neighbors(2, &g).collect();
         assert_eq!(
             n,
             vec![
@@ -234,6 +237,22 @@ mod tests {
                 RowId::new(BankId(2), 12),
             ]
         );
+    }
+
+    #[test]
+    fn row_neighbors_at_the_widest_radius_span_the_bank() {
+        // `row + n` would overflow here: the upper end saturates instead.
+        let g = DramGeometry::tiny_16mb();
+        let last = g.rows_per_bank - 1;
+        for row in [0, 5, last] {
+            let r = RowId::new(BankId(1), row);
+            let n: Vec<RowId> = r.neighbors(u32::MAX, &g).collect();
+            let all: Vec<RowId> = (0..g.rows_per_bank)
+                .filter(|&x| x != row)
+                .map(|x| RowId::new(BankId(1), x))
+                .collect();
+            assert_eq!(n, all);
+        }
     }
 
     #[test]

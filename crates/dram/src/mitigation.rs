@@ -129,7 +129,7 @@ impl MitigationState {
                 *count += 1;
                 if *count >= threshold {
                     *count = 0;
-                    row.neighbors(1, geometry)
+                    row.neighbors(1, geometry).collect()
                 } else {
                     Vec::new()
                 }

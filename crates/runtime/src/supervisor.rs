@@ -7,9 +7,10 @@
 //! persisted. [`Supervisor`] reproduces that loop around
 //! [`AnvilDetector`]:
 //!
-//! * every service call runs under [`std::panic::catch_unwind`], so a
-//!   detector panic (injected via [`LifecycleInjector`] or a genuine
-//!   bug) is contained instead of unwinding the host;
+//! * a crash drawn by the [`LifecycleInjector`] is a returned value
+//!   that goes straight to recovery, and every other service call runs
+//!   under [`std::panic::catch_unwind`], so a genuine detector panic is
+//!   contained the same way instead of unwinding the host;
 //! * after a crash the supervisor waits out a bounded exponential
 //!   backoff, then restores from the last checkpoint bytes — falling
 //!   back to a **cold start** when the checkpoint is corrupt,
@@ -103,7 +104,7 @@ impl Default for RuntimeConfig {
 pub struct RuntimeStats {
     /// Service attempts (successful or crashed).
     pub services: u64,
-    /// Detector panics captured.
+    /// Detector crashes: injected ones and captured panics.
     pub crashes: u64,
     /// Restarts performed (each crash under budget restarts once).
     pub restarts: u64,
@@ -218,6 +219,10 @@ pub struct Supervisor {
     /// restart reads back, so at-rest corruption is visible to recovery
     /// exactly once.
     checkpoint: Option<StoredCheckpoint>,
+    /// Ledger rows no checkpoint currently fills, pid buffers and all:
+    /// a write over a longer ledger leaves its surplus here and a write
+    /// over a shorter one takes from here before allocating.
+    spare_rows: Vec<anvil_core::LedgerRow>,
     pending_reload: Option<HashedConfig>,
     faults: Option<LifecycleInjector>,
     stats: RuntimeStats,
@@ -273,6 +278,7 @@ impl Supervisor {
             refresh_period,
             detector,
             checkpoint: None,
+            spare_rows: Vec::new(),
             pending_reload: None,
             faults: None,
             stats: RuntimeStats::default(),
@@ -370,10 +376,14 @@ impl Supervisor {
             .is_some_and(LifecycleInjector::crash_now);
         let at = now + stall;
         self.stats.services = self.stats.services.saturating_add(1);
+        // An injected crash strikes before the detector runs, so it is
+        // recovered from directly; unwinding is left to genuine panics.
+        if crash {
+            return self.recover(at, pmu);
+        }
 
         let detector = &mut self.detector;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            assert!(!crash, "injected detector crash");
             detector.service(at, pmu, mapping, translate)
         }));
         match result {
@@ -484,7 +494,9 @@ impl Supervisor {
         if let Some((q, fault)) = self.deferred_checkpoint.take() {
             let rows = self.take_checkpoint_rows();
             self.checkpoint = Some(StoredCheckpoint {
-                ckpt: self.detector.materialize_quiet_checkpoint(&q, rows),
+                ckpt: self
+                    .detector
+                    .materialize_quiet_checkpoint(&q, rows, &mut self.spare_rows),
                 fault,
             });
         }
@@ -708,14 +720,17 @@ impl Supervisor {
     /// at-rest fault the write draws (see [`StoredCheckpoint`]).
     fn write_checkpoint(&mut self, pmu: &Pmu) {
         let rows = self.take_checkpoint_rows();
-        let ckpt = self.detector.checkpoint_reusing(pmu, rows);
+        let ckpt = self
+            .detector
+            .checkpoint_reusing(pmu, rows, &mut self.spare_rows);
         let fault = self.draw_at_rest_fault();
         self.checkpoint = Some(StoredCheckpoint { ckpt, fault });
         self.services_since_checkpoint = 0;
     }
 
     /// The ledger rows of the stored checkpoint a write is about to
-    /// replace, for the new snapshot to overwrite in place.
+    /// replace, for the new snapshot to overwrite in place (with
+    /// `spare_rows` making up or keeping the difference in length).
     fn take_checkpoint_rows(&mut self) -> Vec<anvil_core::LedgerRow> {
         self.checkpoint
             .take()
@@ -773,9 +788,14 @@ impl Supervisor {
     }
 }
 
-/// Replaces the process panic hook with one that stays silent, so
-/// campaign binaries injecting thousands of detector crashes do not spam
-/// stderr with panic reports. Call once at startup; unit tests should
+/// Replaces the process panic hook with one that stays silent.
+///
+/// Injected detector crashes do not need it: the supervisor recovers
+/// from them without unwinding. It silences the report of a genuine
+/// panic that [`Supervisor::service`] or a campaign's cell executor
+/// catches and turns into a recovery or a failed cell, for binaries
+/// that run many cells and want one line per failure rather than a
+/// report each. It silences every other panic too, so unit tests should
 /// leave the default hook installed.
 pub fn install_quiet_panic_hook() {
     std::panic::set_hook(Box::new(|_| {}));
@@ -837,6 +857,48 @@ mod tests {
         assert_eq!(sup.detector().stats().stage1_windows, 5);
         // Boot + one checkpoint per service.
         assert_eq!(sup.stats().checkpoints_written, 6);
+    }
+
+    thread_local! {
+        static PANICS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Chains a panic hook that counts this thread's panics before
+    /// deferring to the previous hook, so parallel tests keep theirs.
+    fn count_panics() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                PANICS.with(|n| n.set(n.get() + 1));
+                previous(info);
+            }));
+        });
+    }
+
+    #[test]
+    fn injected_crashes_recover_without_unwinding() {
+        count_panics();
+        let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
+        let mut pmu = Pmu::new(SamplerConfig::anvil_default());
+        let mut sup = boot(&mut pmu);
+        sup.set_faults(Some(crashy(1.0)));
+        let before = PANICS.with(std::cell::Cell::get);
+        let mut restarts = 0;
+        while let Ok(out) = sup.service(sup.deadline(), &mut pmu, &mapping, &mut |_, v| Some(v)) {
+            assert!(matches!(out, SupervisedOutcome::Restarted(_)), "{out:?}");
+            restarts += 1;
+        }
+        assert_eq!(restarts, RuntimeConfig::default().restart_budget);
+        assert_eq!(sup.stats().crashes, u64::from(restarts) + 1);
+        assert_eq!(
+            PANICS.with(std::cell::Cell::get),
+            before,
+            "no crash unwound"
+        );
+        // The hook does see a genuine panic on this thread.
+        assert!(catch_unwind(|| panic!("genuine")).is_err());
+        assert_eq!(PANICS.with(std::cell::Cell::get), before + 1);
     }
 
     #[test]

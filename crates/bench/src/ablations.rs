@@ -3,11 +3,14 @@
 //! overhead decomposition, the victim radius, and the row-buffer policy.
 
 use crate::harness::{
-    detection_run, false_positive_rate, normalized_time_target, AttackKind, CampaignArgs,
+    detections, grid, normalized_times, run_keyed, solo, vulnerable_pair_index, AttackKind,
+    CampaignArgs, SoloRun,
 };
 use crate::registry::Report;
 use crate::report::Table;
-use anvil_attacks::{hammer_until_flip, Attack, AttackEnv, AttackOp, StandaloneHarness};
+use anvil_attacks::{
+    hammer_until_flip, Attack, AttackEnv, AttackOp, HammerResult, StandaloneHarness,
+};
 use anvil_core::{AnvilConfig, Platform, PlatformConfig};
 use anvil_dram::{DisturbanceConfig, RowBufferPolicy};
 use anvil_mem::{AccessKind, AllocationPolicy, MemoryConfig};
@@ -35,15 +38,18 @@ pub fn ablation_bank_check(args: &CampaignArgs) -> Report {
         &["Benchmark", "with bank check", "without bank check"],
     );
     let mut records = Vec::new();
-    for bench in [
+    let benches = [
         SpecBenchmark::Bzip2,
         SpecBenchmark::Gcc,
         SpecBenchmark::Mcf,
         SpecBenchmark::Xalancbmk,
         SpecBenchmark::Libquantum,
-    ] {
-        let with_rate = false_positive_rate(bench, with_check, fp_ms, 41);
-        let without_rate = false_positive_rate(bench, without_check, fp_ms, 41);
+    ];
+    let configs = [with_check, without_check];
+    let cells = grid(benches, configs, |bench, anvil| (bench, anvil, fp_ms, 41));
+    let runs = run_keyed(args.threads, &cells, solo);
+    for (bench, pair) in benches.into_iter().zip(runs.chunks(2)) {
+        let (with_rate, without_rate) = (pair[0].refreshes_per_s, pair[1].refreshes_per_s);
         table.row(&[
             bench.name().to_string(),
             format!("{with_rate:.2}"),
@@ -64,20 +70,11 @@ pub fn ablation_bank_check(args: &CampaignArgs) -> Report {
     let mut text = table.render();
 
     // Detection must be unaffected: the attack has inherent bank locality.
-    let with_det = detection_run(
-        AttackKind::DoubleSided,
-        with_check,
-        false,
-        scale.ms(100.0).max(60.0),
-        1,
-    );
-    let without_det = detection_run(
-        AttackKind::DoubleSided,
-        without_check,
-        false,
-        scale.ms(100.0).max(60.0),
-        1,
-    );
+    let det_ms = scale.ms(100.0).max(60.0);
+    let cells = [with_check, without_check].map(|a| (AttackKind::DoubleSided, a, false, det_ms, 1));
+    let [with_det, without_det] = &detections(args.threads, &cells)[..] else {
+        unreachable!("one summary per cell")
+    };
     let _ = writeln!(
         text,
         "Attack detection: with check {:.1} ms, without {:.1} ms (flips {}/{}).",
@@ -115,16 +112,23 @@ pub fn ablation_sampling(args: &CampaignArgs) -> Report {
         &["Samples/sec", "Detect (heavy) ms", "Flips", "mcf slowdown"],
     );
     let mut records = Vec::new();
-    for rate in rates {
+    let configs = rates.map(|rate| {
         let mut cfg = AnvilConfig::baseline();
         cfg.sampling.interval = 2_600_000_000 / rate;
-        let det = detection_run(AttackKind::ClflushFree, cfg, true, det_ms, 7);
-        let slowdown = normalized_time_target(
+        cfg
+    });
+    let detects = configs.map(|a| (AttackKind::ClflushFree, a, true, det_ms, 7));
+    let detects = detections(args.threads, &detects);
+    let slowdowns = configs.map(|a| {
+        (
             SpecBenchmark::Mcf,
-            PlatformConfig::with_anvil(cfg),
+            PlatformConfig::with_anvil(a),
             target_ms,
             7,
-        );
+        )
+    });
+    let slowdowns = normalized_times(args.threads, &slowdowns);
+    for ((rate, det), slowdown) in rates.into_iter().zip(detects).zip(slowdowns) {
         table.row(&[
             rate.to_string(),
             det.detect_ms.map_or("miss".into(), |d| format!("{d:.1}")),
@@ -146,19 +150,6 @@ pub fn ablation_sampling(args: &CampaignArgs) -> Report {
          in the common case, at ~1% overhead for memory-bound programs.\n",
     );
     Report::rows("ablation_sampling", text, &records)
-}
-
-/// Fraction of stage-1 windows that crossed the threshold for `bench`.
-fn crossing_fraction(bench: SpecBenchmark, anvil: AnvilConfig, ms: f64) -> f64 {
-    let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
-    p.add_workload(bench.build(13)).expect("arena fits");
-    p.run_ms(ms).expect("run completes");
-    let s = p.detector_stats().expect("anvil loaded");
-    if s.stage1_windows == 0 {
-        0.0
-    } else {
-        s.threshold_crossings as f64 / s.stage1_windows as f64
-    }
 }
 
 /// **Ablation** — the stage-1 LLC-miss threshold.
@@ -184,13 +175,47 @@ pub fn ablation_threshold(args: &CampaignArgs) -> Report {
         ],
     );
     let mut records = Vec::new();
-    for t in thresholds {
+    let configs = thresholds.map(|t| {
         let mut cfg = AnvilConfig::baseline();
         cfg.llc_miss_threshold = t;
-        // The guarantee-envelope gate rejects permissive thresholds: an
-        // attacker pacing just under them reaches the flip count without
-        // ever arming stage 2. Report the rejection instead of running a
-        // detector that is unsafe by construction.
+        cfg
+    });
+    // The guarantee-envelope gate rejects permissive thresholds: an
+    // attacker pacing just under them reaches the flip count without ever
+    // arming stage 2. Report the rejection instead of running a detector
+    // that is unsafe by construction.
+    let accepted: Vec<AnvilConfig> = configs
+        .into_iter()
+        .filter(|c| c.validate().is_ok())
+        .collect();
+    let benches = [SpecBenchmark::Mcf, SpecBenchmark::Sjeng];
+    let crossings = grid(accepted.iter().copied(), benches, |anvil, b| {
+        (b, anvil, ms, 13)
+    });
+    let crossings = run_keyed(args.threads, &crossings, solo);
+    let slowdowns: Vec<_> = accepted
+        .iter()
+        .map(|&a| {
+            (
+                SpecBenchmark::Mcf,
+                PlatformConfig::with_anvil(a),
+                target_ms,
+                13,
+            )
+        })
+        .collect();
+    let slowdowns = normalized_times(args.threads, &slowdowns);
+    // Fraction of stage-1 windows that crossed the threshold.
+    let crossed = |r: &SoloRun| {
+        let s = r.stats;
+        if s.stage1_windows == 0 {
+            0.0
+        } else {
+            s.threshold_crossings as f64 / s.stage1_windows as f64
+        }
+    };
+    let mut results = crossings.chunks(2).zip(slowdowns);
+    for (t, cfg) in thresholds.into_iter().zip(configs) {
         if let Err(e) = cfg.validate() {
             table.row(&[
                 format!("{}K", t / 1000),
@@ -205,14 +230,8 @@ pub fn ablation_threshold(args: &CampaignArgs) -> Report {
             eprintln!("  [threshold {t}] rejected: {e}");
             continue;
         }
-        let mcf_cross = crossing_fraction(SpecBenchmark::Mcf, cfg, ms);
-        let sjeng_cross = crossing_fraction(SpecBenchmark::Sjeng, cfg, ms);
-        let slowdown = normalized_time_target(
-            SpecBenchmark::Mcf,
-            PlatformConfig::with_anvil(cfg),
-            target_ms,
-            13,
-        );
+        let (runs, slowdown) = results.next().expect("one result per accepted threshold");
+        let (mcf_cross, sjeng_cross) = (crossed(&runs[0]), crossed(&runs[1]));
         table.row(&[
             format!("{}K", t / 1000),
             format!("{:.0}%", mcf_cross * 100.0),
@@ -261,26 +280,25 @@ pub fn overhead_breakdown(args: &CampaignArgs) -> Report {
     );
     let mut records = Vec::new();
 
-    for bench in [
+    let anvil = AnvilConfig::baseline();
+    let benches = [
         SpecBenchmark::Mcf,
         SpecBenchmark::Libquantum,
         SpecBenchmark::Bzip2,
         SpecBenchmark::Gobmk,
         SpecBenchmark::H264ref,
-    ] {
-        let anvil = AnvilConfig::baseline();
-        let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
-        let pid = p.add_workload(bench.build(31)).expect("arena fits");
-        p.run_ms(ms).expect("run completes");
-        let stats = *p.detector_stats().expect("anvil loaded");
+    ];
+    let runs = run_keyed(args.threads, &benches.map(|b| (b, anvil, ms, 31)), solo);
+    for (bench, run) in benches.into_iter().zip(runs) {
+        let stats = run.stats;
         let costs = anvil.costs;
-        let samples_cy = p.pmu().samples_taken() * costs.sample;
+        let samples_cy = run.samples * costs.sample;
         let pmi_cy = (stats.stage1_windows + stats.stage2_windows) * costs.pmi
             + stats.threshold_crossings * costs.stage2_arm;
         let analysis_cy = stats.stage2_windows * costs.analysis;
         let refresh_cy = stats.selective_refreshes * costs.refresh_read;
         let total_cy = samples_cy + pmi_cy + analysis_cy + refresh_cy;
-        let elapsed = p.core_stats(pid).expect("added").cycles;
+        let elapsed = run.cycles;
         let pct = 100.0 * total_cy as f64 / elapsed as f64;
         let per_s = |cy: u64| format!("{:.0}K", cy as f64 / (elapsed as f64 / 2.6e9) / 1e3);
         table.row(&[
@@ -330,71 +348,50 @@ pub fn victim_radius(args: &CampaignArgs) -> Report {
     );
     let mut records = Vec::new();
 
-    for (reach_label, disturbance) in [
+    let reaches = [
         ("1 (paper's DDR3)", DisturbanceConfig::paper_ddr3()),
         ("2 (future dense)", DisturbanceConfig::future_distance2()),
-    ] {
-        // Pick an aggressor whose distance-2 neighborhood contains a
-        // minimum-threshold row, so the radius difference is observable.
-        let mut chosen = 0;
-        for i in 0..24 {
-            let mut pc = PlatformConfig::unprotected();
-            pc.memory.dram.disturbance = disturbance;
-            let mut probe = Platform::new(pc);
-            let Ok(pid) = probe.add_attack(AttackKind::SingleSided.build(i)) else {
-                continue;
-            };
-            let (aggs, _) = probe.attack_truth(pid);
-            let dram = probe.sys().dram();
-            let vulnerable_at_2 = [-2i64, 2].iter().any(|&d| {
-                dram.mapping()
-                    .same_bank_row_offset(aggs[0], d)
-                    .is_some_and(|pa| {
-                        dram.is_vulnerable_row(dram.mapping().location_of(pa).row_id())
-                    })
-            });
-            if vulnerable_at_2 {
-                chosen = i;
-                break;
-            }
-        }
-        for radius in [1u32, 2] {
-            let mut anvil = AnvilConfig::baseline();
-            anvil.victim_radius = radius;
-            // Match the detector's rate assumption to the denser device;
-            // a lower flip threshold also forces a proportionally lower
-            // stage-1 trip point or the guarantee-envelope gate rejects
-            // the config (an attacker pacing under the old 20K could
-            // reach the denser device's flip count undetected).
-            anvil.min_hammer_accesses = disturbance.double_sided_threshold / 2;
-            anvil.llc_miss_threshold = (anvil.llc_miss_threshold
-                * disturbance.double_sided_threshold
-                / DisturbanceConfig::paper_ddr3().double_sided_threshold)
-                .max(1);
-            let mut pc = PlatformConfig::with_anvil(anvil);
-            pc.memory.dram.disturbance = disturbance;
-            let mut p = Platform::new(pc);
-            p.add_attack(AttackKind::SingleSided.build(chosen))
-                .expect("prepares");
-            p.run_ms(run_ms).expect("run completes");
-            table.row(&[
-                reach_label.into(),
-                radius.to_string(),
-                p.first_detection_ms()
-                    .map_or("no".into(), |t| format!("{t:.1} ms")),
-                p.total_flips().to_string(),
-            ]);
-            records.push(json!({
-                "dram_reach": reach_label,
-                "victim_radius": radius,
-                "detect_ms": p.first_detection_ms(),
-                "flips": p.total_flips(),
-            }));
-            eprintln!(
-                "  [{reach_label} / radius {radius}] flips {}",
-                p.total_flips()
-            );
-        }
+    ];
+    let pairs = run_keyed(args.threads, &reaches.map(|(_, d)| d), distance2_pair);
+    let cells = grid(
+        reaches.into_iter().zip(pairs),
+        [1u32, 2],
+        |((label, d), pair), radius| (label, d, pair, radius),
+    );
+    let runs = run_keyed(args.threads, &cells, |&(_, disturbance, pair, radius)| {
+        let mut anvil = AnvilConfig::baseline();
+        anvil.victim_radius = radius;
+        // Match the detector's rate assumption to the denser device; a
+        // lower flip threshold also forces a proportionally lower stage-1
+        // trip point or the guarantee-envelope gate rejects the config
+        // (an attacker pacing under the old 20K could reach the denser
+        // device's flip count undetected).
+        anvil.min_hammer_accesses = disturbance.double_sided_threshold / 2;
+        anvil.llc_miss_threshold = (anvil.llc_miss_threshold * disturbance.double_sided_threshold
+            / DisturbanceConfig::paper_ddr3().double_sided_threshold)
+            .max(1);
+        let mut pc = PlatformConfig::with_anvil(anvil);
+        pc.memory.dram.disturbance = disturbance;
+        let mut p = Platform::new(pc);
+        p.add_attack(AttackKind::SingleSided.build(pair))
+            .expect("prepares");
+        p.run_ms(run_ms).expect("run completes");
+        (p.first_detection_ms(), p.total_flips())
+    });
+    for ((reach_label, _, _, radius), (detect_ms, flips)) in cells.into_iter().zip(runs) {
+        table.row(&[
+            reach_label.into(),
+            radius.to_string(),
+            detect_ms.map_or("no".into(), |t| format!("{t:.1} ms")),
+            flips.to_string(),
+        ]);
+        records.push(json!({
+            "dram_reach": reach_label,
+            "victim_radius": radius,
+            "detect_ms": detect_ms,
+            "flips": flips,
+        }));
+        eprintln!("  [{reach_label} / radius {radius}] flips {flips}");
     }
 
     let mut text = table.render();
@@ -404,6 +401,31 @@ pub fn victim_radius(args: &CampaignArgs) -> Report {
          the knob the paper's parenthetical promises.\n",
     );
     Report::rows("victim_radius", text, &records)
+}
+
+/// The single-sided aggressor candidate whose distance-2 neighborhood
+/// contains a minimum-threshold row under `disturbance`, so the victim
+/// radius difference is observable (candidate 0 if none among 24).
+fn distance2_pair(&disturbance: &DisturbanceConfig) -> usize {
+    let mut pc = PlatformConfig::unprotected();
+    pc.memory.dram.disturbance = disturbance;
+    (0..24)
+        .find(|&i| {
+            let mut probe = Platform::new(pc);
+            let Ok(pid) = probe.add_attack(AttackKind::SingleSided.build(i)) else {
+                return false;
+            };
+            let (aggs, _) = probe.attack_truth(pid);
+            let dram = probe.sys().dram();
+            [-2i64, 2].iter().any(|&d| {
+                dram.mapping()
+                    .same_bank_row_offset(aggs[0], d)
+                    .is_some_and(|pa| {
+                        dram.is_vulnerable_row(dram.mapping().location_of(pa).row_id())
+                    })
+            })
+        })
+        .unwrap_or(0)
 }
 
 /// The degenerate single-address hammer: one load + CLFLUSH, no conflict
@@ -445,6 +467,24 @@ impl Attack for SingleAddressHammer {
     }
 }
 
+/// Hammers on a `policy` row buffer until the first flip: the
+/// single-address hammer when `single`, else the first double-sided pair
+/// with a flippable victim (`None`: the attack does not prepare).
+fn hammer_footprint(policy: RowBufferPolicy, single: bool) -> Option<HammerResult> {
+    let mut cfg = MemoryConfig::paper_platform();
+    cfg.dram = cfg.dram.with_row_buffer(policy);
+    let mut attack: Box<dyn Attack> = if single {
+        Box::new(SingleAddressHammer::default())
+    } else {
+        // Scan for a flippable victim as usual.
+        let pair = vulnerable_pair_index(AttackKind::DoubleSided, cfg, 16);
+        AttackKind::DoubleSided.build(pair.expect("vulnerable pair"))
+    };
+    let mut h = StandaloneHarness::new(cfg, AllocationPolicy::Contiguous);
+    h.prepare(attack.as_mut()).ok()?;
+    Some(hammer_until_flip(attack.as_mut(), &mut h, 900_000))
+}
+
 /// **Extension** — row-buffer policy and the hammering attack surface.
 ///
 /// The paper's bank-locality insight (Section 3.1) rests on the open-page
@@ -455,79 +495,63 @@ impl Attack for SingleAddressHammer {
 /// footprint — changes: a single-address loop becomes a hammer. This
 /// experiment measures both sides and checks ANVIL still detects the
 /// degenerate attack (its row-locality signal is even stronger).
-pub fn row_buffer_policy(_args: &CampaignArgs) -> Report {
+pub fn row_buffer_policy(args: &CampaignArgs) -> Report {
     let mut table = Table::new(
         "Extension: row-buffer policy vs. the minimum hammer footprint",
         &["Row-buffer policy", "Attack", "Bits flip?", "Notes"],
     );
     let mut records = Vec::new();
 
-    for policy in [RowBufferPolicy::OpenPage, RowBufferPolicy::ClosedPage] {
-        for single in [false, true] {
-            let mut cfg = MemoryConfig::paper_platform();
-            cfg.dram = cfg.dram.with_row_buffer(policy);
-            let mut h = StandaloneHarness::new(cfg, AllocationPolicy::Contiguous);
-            let (mut attack, label): (Box<dyn Attack>, &str) = if single {
-                (Box::new(SingleAddressHammer::default()), "single-address")
+    let policies = [RowBufferPolicy::OpenPage, RowBufferPolicy::ClosedPage];
+    let cells = grid(policies, [false, true], |policy, single| (policy, single));
+    let hammers = run_keyed(args.threads, &cells, |&(p, single)| {
+        hammer_footprint(p, single)
+    });
+    for ((policy, single), r) in cells.into_iter().zip(hammers) {
+        let Some(r) = r else { continue };
+        let label = if single {
+            "single-address"
+        } else {
+            "double-sided"
+        };
+        let policy_label = format!("{policy:?}");
+        table.row(&[
+            policy_label.clone(),
+            label.into(),
+            if r.flipped { "YES" } else { "no" }.into(),
+            if r.flipped {
+                format!("{}K aggressor accesses", r.aggressor_accesses / 1000)
             } else {
-                // Scan for a flippable victim as usual.
-                let mut best: Option<Box<dyn Attack>> = None;
-                for i in 0..16 {
-                    let mut probe = StandaloneHarness::new(cfg, AllocationPolicy::Contiguous);
-                    let mut a =
-                        Box::new(anvil_attacks::DoubleSidedClflush::new().with_pair_index(i));
-                    if probe.prepare(a.as_mut()).is_err() {
-                        continue;
-                    }
-                    let d = probe.sys.dram();
-                    if a.victim_paddrs()
-                        .iter()
-                        .any(|&v| d.is_vulnerable_row(d.mapping().location_of(v).row_id()))
-                    {
-                        best = Some(a);
-                        break;
-                    }
-                }
-                (best.expect("vulnerable pair"), "double-sided")
-            };
-            if h.prepare(attack.as_mut()).is_err() {
-                continue;
-            }
-            let r = hammer_until_flip(attack.as_mut(), &mut h, 900_000);
-            let policy_label = format!("{policy:?}");
-            table.row(&[
-                policy_label.clone(),
-                label.into(),
-                if r.flipped { "YES" } else { "no" }.into(),
-                if r.flipped {
-                    format!("{}K aggressor accesses", r.aggressor_accesses / 1000)
-                } else {
-                    "row buffer / refresh wins".into()
-                },
-            ]);
-            records.push(json!({
-                "policy": policy_label, "attack": label,
-                "flipped": r.flipped, "accesses": r.aggressor_accesses,
-            }));
-        }
+                "row buffer / refresh wins".into()
+            },
+        ]);
+        records.push(json!({
+            "policy": policy_label, "attack": label,
+            "flipped": r.flipped, "accesses": r.aggressor_accesses,
+        }));
     }
     let mut text = table.render();
 
     // ANVIL vs the closed-page single-address hammer — first with the
     // paper's configuration, then with the bank-locality filter disabled.
-    let run_anvil = |anvil: AnvilConfig| {
-        let mut pc = PlatformConfig::with_anvil(anvil);
-        pc.memory.dram = pc.memory.dram.with_row_buffer(RowBufferPolicy::ClosedPage);
-        let mut p = Platform::new(pc);
-        p.add_attack(Box::new(SingleAddressHammer::default()))
-            .expect("prepares");
-        p.run_ms(100.0).expect("run completes");
-        (p.first_detection_ms(), p.total_flips())
-    };
-    let (det_paper, flips_paper) = run_anvil(AnvilConfig::baseline());
     let mut policy_aware = AnvilConfig::baseline();
     policy_aware.bank_support_min = 0;
-    let (det_aware, flips_aware) = run_anvil(policy_aware);
+    let runs = run_keyed(
+        args.threads,
+        &[AnvilConfig::baseline(), policy_aware],
+        |&anvil| {
+            let mut pc = PlatformConfig::with_anvil(anvil);
+            pc.memory.dram = pc.memory.dram.with_row_buffer(RowBufferPolicy::ClosedPage);
+            let mut p = Platform::new(pc);
+            p.add_attack(Box::new(SingleAddressHammer::default()))
+                .expect("prepares");
+            p.run_ms(100.0).expect("run completes");
+            (p.first_detection_ms(), p.total_flips())
+        },
+    );
+    let [(det_paper, flips_paper), (det_aware, flips_aware)] = runs[..] else {
+        unreachable!("one run per config")
+    };
     let _ = writeln!(
         text,
         "ANVIL (paper config)  vs closed-page single-address hammer: detected {}, {} flips.",

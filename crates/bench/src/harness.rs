@@ -1,10 +1,17 @@
-//! Shared experiment procedures used by the table/figure campaigns.
+//! Shared experiment procedures: argument parsing, the cell executor, and
+//! the cells of the paper and ablation campaigns.
+//!
+//! A campaign lists its cells as keys, runs them through [`run_cells_checked`]
+//! and folds the results in its own loop order. The Platform cells are
+//! `detections` (Table 3), `solo` runs (Tables 4 and 5), `normalized_times`
+//! (Figures 3 and 4) and `first_flip` (Table 1); `run_keyed` runs each
+//! distinct key once, so a baseline several cells share runs once.
 
 use anvil_attacks::{
     hammer_until_flip, Attack, ClflushFreeDoubleSided, DoubleSidedClflush, SingleSidedClflush,
     StandaloneHarness,
 };
-use anvil_core::{AnvilConfig, Platform, PlatformConfig};
+use anvil_core::{AnvilConfig, DetectorStats, Platform, PlatformConfig};
 use anvil_mem::{AllocationPolicy, MemoryConfig};
 use anvil_runtime::Engine;
 use anvil_workloads::SpecBenchmark;
@@ -63,7 +70,9 @@ pub struct CampaignArgs {
     /// `1..=64` (`None`: campaign default). Only the `fleet` campaign
     /// reads it.
     pub domains: Option<u64>,
-    /// `--threads N`: worker threads for [`run_cells_checked`]. Defaults to the
+    /// `--threads N`: worker threads for [`run_cells_checked`], which the
+    /// paper, ablation and robustness campaigns run their cells through
+    /// (the mechanism studies still run serially). Defaults to the
     /// machine's available parallelism — campaign output is byte-for-byte
     /// independent of this value, so there is no reproducibility reason to
     /// pin it.
@@ -294,6 +303,51 @@ pub(crate) fn split_cells<T>(results: Vec<Result<T, CellPanic>>) -> (Vec<T>, Vec
     (cells, panics)
 }
 
+/// Runs `run` once per distinct key of `keys` through [`run_cells_checked`]
+/// and returns one result per key, in `keys` order. A campaign lists every
+/// cell it folds, so a cell it lists twice (a shared unprotected baseline,
+/// say) runs once, and it folds the results in its own loop order. A
+/// panicked cell fails the campaign, naming its key.
+pub(crate) fn run_keyed<K, T, F>(threads: usize, keys: &[K], run: F) -> Vec<T>
+where
+    K: PartialEq + std::fmt::Debug + Sync,
+    T: Clone + Send,
+    F: Fn(&K) -> T + Sync,
+{
+    let mut unique: Vec<&K> = Vec::new();
+    let slots: Vec<usize> = keys
+        .iter()
+        .map(|k| {
+            unique.iter().position(|&u| u == k).unwrap_or_else(|| {
+                unique.push(k);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    let run = &run;
+    let cells = unique.iter().map(|&k| move || run(k)).collect();
+    let results: Vec<T> = run_cells_checked(threads, cells)
+        .into_iter()
+        .zip(&unique)
+        .map(|(r, k)| r.unwrap_or_else(|p| panic!("cell {k:?} panicked: {}", p.message)))
+        .collect();
+    slots.into_iter().map(|i| results[i].clone()).collect()
+}
+
+/// The cells of the `xs` × `ys` grid in row-major order: the order a
+/// campaign's nested loops visit them, and so the order it folds them in.
+pub(crate) fn grid<A: Copy, B: Copy, K>(
+    xs: impl IntoIterator<Item = A>,
+    ys: impl IntoIterator<Item = B>,
+    key: impl Fn(A, B) -> K,
+) -> Vec<K> {
+    let ys: Vec<B> = ys.into_iter().collect();
+    let key = &key;
+    xs.into_iter()
+        .flat_map(|x| ys.iter().map(move |&y| key(x, y)))
+        .collect()
+}
+
 /// The three attacks of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AttackKind {
@@ -362,34 +416,41 @@ pub fn vulnerable_pair_index(kind: AttackKind, memory: MemoryConfig, max: usize)
     None
 }
 
-/// The module minimum for `kind` on `config`: hammers each of the first
-/// `candidates` aggressor pairs for up to `budget` aggressor accesses and
-/// returns the fewest accesses to a first flip, with that flip's time in
-/// ms (`None`: no candidate flipped).
-pub(crate) fn fastest_flip(
+/// The aggressor pair every detection cell of `kind` hammers: the first
+/// vulnerable candidate among 24 on the paper's platform (pair 0 if none).
+pub(crate) fn attack_pair(kind: AttackKind) -> usize {
+    vulnerable_pair_index(kind, MemoryConfig::paper_platform(), 24).unwrap_or(0)
+}
+
+/// A Table 1 cell: hammers candidate `pair` of `kind` on `config` for up to
+/// `budget` aggressor accesses and returns the accesses to its first flip
+/// and that flip's time in ms (`None`: no flip, or it does not prepare).
+pub(crate) fn first_flip(
     kind: AttackKind,
     config: &MemoryConfig,
-    candidates: usize,
+    pair: usize,
     budget: u64,
 ) -> Option<(u64, f64)> {
-    let mut best: Option<(u64, f64)> = None;
-    for pair in 0..candidates {
-        let mut harness = StandaloneHarness::new(*config, AllocationPolicy::Contiguous);
-        let mut attack = kind.build(pair);
-        if harness.prepare(attack.as_mut()).is_err() {
-            continue;
-        }
-        let r = hammer_until_flip(attack.as_mut(), &mut harness, budget);
-        if r.flipped && best.is_none_or(|(a, _)| r.aggressor_accesses < a) {
-            let ms = r.time_to_first_flip_ms(&config.clock).expect("flipped");
-            best = Some((r.aggressor_accesses, ms));
-        }
-    }
-    best
+    let mut harness = StandaloneHarness::new(*config, AllocationPolicy::Contiguous);
+    let mut attack = kind.build(pair);
+    harness.prepare(attack.as_mut()).ok()?;
+    let r = hammer_until_flip(attack.as_mut(), &mut harness, budget);
+    let ms = r.time_to_first_flip_ms(&config.clock);
+    r.flipped
+        .then(|| (r.aggressor_accesses, ms.expect("flipped")))
+}
+
+/// The module minimum among candidates' [`first_flip`]s, folded in
+/// candidate order: the fewest accesses, the earlier candidate on a tie.
+pub(crate) fn fastest(flips: impl IntoIterator<Item = Option<(u64, f64)>>) -> Option<(u64, f64)> {
+    flips
+        .into_iter()
+        .flatten()
+        .reduce(|best, f| if f.0 < best.0 { f } else { best })
 }
 
 /// Result of one detection experiment (a Table 3 cell).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DetectionSummary {
     /// Attack label.
     pub attack: String,
@@ -403,14 +464,10 @@ pub struct DetectionSummary {
     pub flips: u64,
 }
 
-/// Runs one attack under ANVIL for `ms`, with or without the paper's
-/// memory-intensive background trio, and summarizes the detection.
-pub fn detection_run(
-    kind: AttackKind,
-    anvil: AnvilConfig,
-    heavy_load: bool,
-    ms: f64,
-    seed: u64,
+/// A detection cell: attack `kind` hammering aggressor pair `pair`, built
+/// and run as [`detection_run`] runs it.
+pub(crate) fn detect(
+    &(kind, pair, anvil, heavy_load, ms, seed): &(AttackKind, usize, AnvilConfig, bool, f64, u64),
 ) -> DetectionSummary {
     let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
     if heavy_load {
@@ -418,7 +475,6 @@ pub fn detection_run(
             p.add_workload(b.build(seed)).expect("arena fits");
         }
     }
-    let pair = vulnerable_pair_index(kind, MemoryConfig::paper_platform(), 24).unwrap_or(0);
     p.add_attack(kind.build(pair))
         .expect("attack prepares on open platform");
     p.run_ms(ms).expect("run completes");
@@ -431,50 +487,104 @@ pub fn detection_run(
     }
 }
 
-/// Normalized execution time of `bench` under `config`, relative to the
-/// unprotected platform, over `ops` operations (a Figure 3/4 bar).
-pub fn normalized_time(bench: SpecBenchmark, config: PlatformConfig, ops: u64, seed: u64) -> f64 {
-    let run = |cfg: PlatformConfig| {
-        let mut p = Platform::new(cfg);
+/// Runs each `(kind, anvil, heavy_load, ms, seed)` cell as
+/// [`detection_run`] does, scanning for each attack kind's pair once.
+pub(crate) fn detections(
+    threads: usize,
+    cells: &[(AttackKind, AnvilConfig, bool, f64, u64)],
+) -> Vec<DetectionSummary> {
+    let kinds: Vec<AttackKind> = cells.iter().map(|c| c.0).collect();
+    let pairs = run_keyed(threads, &kinds, |&kind| attack_pair(kind));
+    let cells: Vec<_> = cells
+        .iter()
+        .zip(pairs)
+        .map(|(&(kind, anvil, heavy, ms, seed), pair)| (kind, pair, anvil, heavy, ms, seed))
+        .collect();
+    run_keyed(threads, &cells, detect)
+}
+
+/// Runs one attack under ANVIL for `ms`, with or without the paper's
+/// memory-intensive background trio, and summarizes the detection.
+pub fn detection_run(
+    kind: AttackKind,
+    anvil: AnvilConfig,
+    heavy_load: bool,
+    ms: f64,
+    seed: u64,
+) -> DetectionSummary {
+    detect(&(kind, attack_pair(kind), anvil, heavy_load, ms, seed))
+}
+
+/// What one benchmark alone under ANVIL measured (see [`solo`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SoloRun {
+    /// Selective refreshes per second: the false-positive rate.
+    pub refreshes_per_s: f64,
+    /// The detector's activity counters.
+    pub stats: DetectorStats,
+    /// PEBS samples taken.
+    pub samples: u64,
+    /// Core cycles the benchmark ran.
+    pub cycles: u64,
+}
+
+/// A solo cell (Tables 4 and 5): `bench`, built from `seed`, alone under
+/// `anvil` for `ms`.
+pub(crate) fn solo(&(bench, anvil, ms, seed): &(SpecBenchmark, AnvilConfig, f64, u64)) -> SoloRun {
+    let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
+    let pid = p.add_workload(bench.build(seed)).expect("arena fits");
+    p.run_ms(ms).expect("run completes");
+    SoloRun {
+        refreshes_per_s: p.refreshes_per_second(),
+        stats: *p.detector_stats().expect("anvil loaded"),
+        samples: p.pmu().samples_taken(),
+        cycles: p.core_stats(pid).expect("just added").cycles,
+    }
+}
+
+/// Normalized execution time (a Figure 3/4 bar) of each `(bench, config,
+/// target_ms, seed)` cell: the core cycles of `bench` under `config` over
+/// those of the unprotected platform, across as many ops as run the
+/// unprotected platform for about `target_ms` (fast-op benchmarks would
+/// otherwise finish before the detector shows its overhead). Each
+/// distinct calibration and each distinct run (a baseline several cells
+/// share, say) runs once.
+pub(crate) fn normalized_times(
+    threads: usize,
+    cells: &[(SpecBenchmark, PlatformConfig, f64, u64)],
+) -> Vec<f64> {
+    // Calibrate ops/ms on a short unprotected run.
+    let calibrations: Vec<_> = cells
+        .iter()
+        .map(|&(b, _, ms, seed)| (b, ms, seed))
+        .collect();
+    let ops = run_keyed(threads, &calibrations, |&(bench, target_ms, seed)| {
+        let mut probe = Platform::new(PlatformConfig::unprotected());
+        let pid = probe.add_workload(bench.build(seed)).expect("arena fits");
+        probe.run_core_ops(pid, 50_000).expect("run completes");
+        let per_op = probe.core_stats(pid).expect("just added").cycles as f64 / 50_000.0;
+        let clock = probe.config().memory.clock;
+        (((clock.ms_to_cycles(target_ms) as f64) / per_op) as u64).max(50_000)
+    });
+    let runs: Vec<_> = cells
+        .iter()
+        .zip(ops)
+        .flat_map(|(&(bench, config, _, seed), ops)| {
+            let mut base = config;
+            (base.anvil, base.memory) = (None, MemoryConfig::paper_platform());
+            [(bench, config, ops, seed), (bench, base, ops, seed)]
+        })
+        .collect();
+    let cycles = run_keyed(threads, &runs, |&(bench, config, ops, seed)| {
+        let mut p = Platform::new(config);
         let pid = p.add_workload(bench.build(seed)).expect("arena fits");
         p.run_core_ops(pid, ops).expect("run completes");
-        p.core_stats(pid).expect("just added").cycles as f64
-    };
-    let base = run(PlatformConfig {
-        anvil: None,
-        memory: MemoryConfig::paper_platform(),
-        ..config
+        p.core_stats(pid).expect("just added").cycles
     });
-    run(config) / base
-}
-
-/// Like [`normalized_time`], but sizes the run so the *baseline* executes
-/// for about `target_ms` of simulated time regardless of the benchmark's
-/// per-op cost — fast-op benchmarks otherwise finish before the detector
-/// has run enough windows to show its overhead.
-pub fn normalized_time_target(
-    bench: SpecBenchmark,
-    config: PlatformConfig,
-    target_ms: f64,
-    seed: u64,
-) -> f64 {
-    // Calibrate ops/ms on a short unprotected run.
-    let mut probe = Platform::new(PlatformConfig::unprotected());
-    let pid = probe.add_workload(bench.build(seed)).expect("arena fits");
-    probe.run_core_ops(pid, 50_000).expect("run completes");
-    let per_op = probe.core_stats(pid).expect("just added").cycles as f64 / 50_000.0;
-    let clock = probe.config().memory.clock;
-    let ops = ((clock.ms_to_cycles(target_ms) as f64) / per_op) as u64;
-    normalized_time(bench, config, ops.max(50_000), seed)
-}
-
-/// False-positive refresh rate (refreshes/second) of `bench` running alone
-/// under ANVIL for `ms` (a Table 4/5 cell).
-pub fn false_positive_rate(bench: SpecBenchmark, anvil: AnvilConfig, ms: f64, seed: u64) -> f64 {
-    let mut p = Platform::new(PlatformConfig::with_anvil(anvil));
-    p.add_workload(bench.build(seed)).expect("arena fits");
-    p.run_ms(ms).expect("run completes");
-    p.refreshes_per_second()
+    cycles
+        .chunks(2)
+        .map(|r| r[0] as f64 / r[1] as f64)
+        .collect()
 }
 
 /// The paper's double-refresh comparison platform.
@@ -540,6 +650,97 @@ mod tests {
             }
         }
         std::panic::set_hook(hook);
+    }
+
+    /// The per-call computation [`normalized_times`] replaced: a
+    /// calibration, a baseline and the measured run for every bar.
+    fn normalized_time_target(
+        bench: SpecBenchmark,
+        config: &PlatformConfig,
+        target_ms: f64,
+        seed: u64,
+    ) -> f64 {
+        let run = |cfg: PlatformConfig, ops: u64| {
+            let mut p = Platform::new(cfg);
+            let pid = p.add_workload(bench.build(seed)).expect("arena fits");
+            p.run_core_ops(pid, ops).expect("run completes");
+            p.core_stats(pid).expect("just added").cycles as f64
+        };
+        let per_op = run(PlatformConfig::unprotected(), 50_000) / 50_000.0;
+        let clock = MemoryConfig::paper_platform().clock;
+        let ops = ((clock.ms_to_cycles(target_ms) as f64 / per_op) as u64).max(50_000);
+        let mut base = *config;
+        (base.anvil, base.memory) = (None, MemoryConfig::paper_platform());
+        run(*config, ops) / run(base, ops)
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)] // the same runs give the same bits
+    fn shared_runs_normalize_like_per_call_runs() {
+        let (anvil, dbl) = (
+            PlatformConfig::with_anvil(AnvilConfig::baseline()),
+            double_refresh_platform(),
+        );
+        let bench = SpecBenchmark::Mcf;
+        // The first three share a calibration and a baseline. 8 and 12 ms
+        // calibrate to different op counts; at 0.001 ms seeds 5 and 6
+        // both clamp to 50K ops, so only the seed tells those runs apart.
+        let cells = [
+            (bench, anvil, 8.0, 5),
+            (bench, dbl, 8.0, 5),
+            (bench, anvil, 12.0, 5),
+            (bench, dbl, 0.001, 5),
+            (bench, dbl, 0.001, 6),
+        ];
+        let want: Vec<f64> = cells
+            .iter()
+            .map(|&(b, config, ms, seed)| normalized_time_target(b, &config, ms, seed))
+            .collect();
+        assert!(want[0] != want[2] && want[3] != want[4], "{want:?}");
+        for threads in [1, 4] {
+            assert_eq!(normalized_times(threads, &cells), want, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn cell_kinds_are_thread_count_independent() {
+        let anvil = AnvilConfig::baseline();
+        let solos = [
+            (SpecBenchmark::Mcf, anvil, 2.0, 1),
+            (SpecBenchmark::Gcc, AnvilConfig::light(), 2.0, 2),
+        ];
+        let attacks = [
+            (AttackKind::DoubleSided, anvil, false, 2.0, 1),
+            (AttackKind::ClflushFree, anvil, true, 2.0, 2),
+        ];
+        let candidates = grid(AttackKind::all(), [0, 1], |kind, pair| (kind, pair));
+        let memory = MemoryConfig::paper_platform();
+        let run = |threads| {
+            (
+                run_keyed(threads, &solos, solo),
+                detections(threads, &attacks),
+                run_keyed(threads, &candidates, |&(kind, pair)| {
+                    first_flip(kind, &memory, pair, 250_000)
+                }),
+            )
+        };
+        let serial = run(1);
+        assert!(serial.2.iter().any(Option::is_some), "some candidate flips");
+        assert_eq!(run(4), serial);
+    }
+
+    #[test]
+    fn repeated_keys_run_once_and_a_panic_names_its_key() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = AtomicUsize::new(0);
+        let out = run_keyed(4, &[3, 1, 3, 2, 1], |&k| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            k * 10
+        });
+        assert_eq!((out, calls.into_inner()), (vec![30, 10, 30, 20, 10], 3));
+        let err = std::panic::catch_unwind(|| run_keyed(2, &[1, 2], |&k| assert!(k != 2, "bad")));
+        let message = panic_message(err.unwrap_err().as_ref());
+        assert_eq!(message, "cell 2 panicked: bad");
     }
 
     #[test]

@@ -19,7 +19,12 @@
 //! Every campaign is a row of [`registry::CAMPAIGNS`] and one function
 //! from [`CampaignArgs`] to a [`Report`] in [`paper`], [`ablations`],
 //! [`mechanisms`] or [`robustness`]: it runs its cells, folds them, and
-//! builds its table, record and gate in one place. The entry point prints
+//! builds its table, record and gate in one place. Every campaign but the
+//! mechanism studies runs its cells through one executor,
+//! [`run_cells_checked`], on `--threads` workers; the paper and ablation
+//! campaigns key their Platform cells so that a run several cells share
+//! (an unprotected baseline, an attack's aggressor-pair scan) runs once
+//! (see [`harness`]). The entry point prints
 //! the table on stdout, writes the record to `results/<campaign>.json`,
 //! and exits non-zero when the gate fails.
 //! `tests/records.rs` regenerates every committed record from the same
@@ -38,9 +43,8 @@ pub mod selfdefense;
 pub mod summary;
 
 pub use harness::{
-    detection_run, double_refresh_platform, false_positive_rate, normalized_time,
-    normalized_time_target, run_cells_checked, vulnerable_pair_index, AttackKind, CampaignArgs,
-    CellPanic, DetectionSummary, Scale, UnknownArgument,
+    detection_run, double_refresh_platform, run_cells_checked, vulnerable_pair_index, AttackKind,
+    CampaignArgs, CellPanic, DetectionSummary, Scale, UnknownArgument,
 };
 pub use registry::{Campaign, Report, CAMPAIGNS};
 pub use report::{render_json, write_json, Table};

@@ -2,8 +2,8 @@
 //! the §4.2 zero-false-negative detection matrix.
 
 use crate::harness::{
-    detection_run, double_refresh_platform, false_positive_rate, fastest_flip,
-    normalized_time_target, run_cells_checked, split_cells, AttackKind, CampaignArgs,
+    attack_pair, detect, detections, double_refresh_platform, fastest, first_flip, grid,
+    normalized_times, run_cells_checked, run_keyed, solo, split_cells, AttackKind, CampaignArgs,
     DetectionSummary,
 };
 use crate::registry::Report;
@@ -40,11 +40,15 @@ pub fn table1(args: &CampaignArgs) -> Report {
     );
     let mut records = Vec::new();
 
-    for kind in AttackKind::all() {
-        // Profile candidates exactly like `rowhammer-test` scanning a
-        // module. Cap at 1.2x the single-sided minimum: anything slower is
-        // not the module minimum.
-        if let Some((accesses, ms)) = fastest_flip(kind, &config, candidates, 480_000) {
+    // Profile candidates exactly like `rowhammer-test` scanning a module.
+    // Cap at 1.2x the single-sided minimum: anything slower is not the
+    // module minimum.
+    let cells = grid(AttackKind::all(), 0..candidates, |kind, pair| (kind, pair));
+    let flips = run_keyed(args.threads, &cells, |&(kind, pair)| {
+        first_flip(kind, &config, pair, 480_000)
+    });
+    for (kind, flips) in AttackKind::all().into_iter().zip(flips.chunks(candidates)) {
+        if let Some((accesses, ms)) = fastest(flips.iter().copied()) {
             table.row(&[
                 kind.label().to_string(),
                 format!("{}K", accesses / 1000),
@@ -101,17 +105,23 @@ pub fn table3(args: &CampaignArgs) -> Report {
     );
     let mut records = Vec::new();
 
-    for (kind, kind_label) in [
+    let kinds = [
         (AttackKind::DoubleSided, "CLFLUSH"),
         (AttackKind::ClflushFree, "CLFLUSH-free"),
-    ] {
+    ];
+    let rows = grid(kinds, [true, false], |(kind, _), heavy| (kind, heavy));
+    let cells = grid(rows, 1..=trials, |(kind, heavy), seed| {
+        (kind, AnvilConfig::baseline(), heavy, run_ms, seed)
+    });
+    let runs = detections(args.threads, &cells);
+    let mut runs = runs.chunks(trials as usize);
+    for (_, kind_label) in kinds {
         for heavy in [true, false] {
             let mut detect_sum = 0.0;
             let mut detected = 0u64;
             let mut refresh_sum = 0.0;
             let mut flips = 0u64;
-            for t in 0..trials {
-                let s = detection_run(kind, AnvilConfig::baseline(), heavy, run_ms, 1 + t);
+            for s in runs.next().expect("one chunk per row") {
                 if let Some(d) = s.detect_ms {
                     detect_sum += d;
                     detected += 1;
@@ -184,8 +194,10 @@ pub fn table4(args: &CampaignArgs) -> Report {
         ],
     );
     let mut records = Vec::new();
-    for bench in SpecBenchmark::all() {
-        let rate = false_positive_rate(bench, AnvilConfig::baseline(), run_ms, 17);
+    let cells = SpecBenchmark::all().map(|bench| (bench, AnvilConfig::baseline(), run_ms, 17));
+    let runs = run_keyed(args.threads, &cells, solo);
+    for (bench, run) in SpecBenchmark::all().into_iter().zip(runs) {
+        let rate = run.refreshes_per_s;
         let paper_rate = paper
             .iter()
             .find(|(n, _)| *n == bench.name())
@@ -246,9 +258,12 @@ pub fn table5(args: &CampaignArgs) -> Report {
         ],
     );
     let mut records = Vec::new();
-    for bench in SpecBenchmark::figure4_subset() {
-        let light = false_positive_rate(bench, AnvilConfig::light(), run_ms, 29);
-        let heavy = false_positive_rate(bench, AnvilConfig::heavy(), run_ms, 29);
+    let benches = SpecBenchmark::figure4_subset();
+    let configs = [AnvilConfig::light(), AnvilConfig::heavy()];
+    let cells = grid(benches, configs, |bench, anvil| (bench, anvil, run_ms, 29));
+    let runs = run_keyed(args.threads, &cells, solo);
+    for (bench, pair) in benches.into_iter().zip(runs.chunks(2)) {
+        let (light, heavy) = (pair[0].refreshes_per_s, pair[1].refreshes_per_s);
         let (_, pl, ph) = paper
             .iter()
             .find(|(n, _, _)| *n == bench.name())
@@ -300,14 +315,16 @@ pub fn figure3(args: &CampaignArgs) -> Report {
     let mut anvil_peak: f64 = 0.0;
     let mut dbl_sum = 0.0;
 
-    for bench in SpecBenchmark::all() {
-        let anvil = normalized_time_target(
-            bench,
-            PlatformConfig::with_anvil(AnvilConfig::baseline()),
-            target_ms,
-            5,
-        );
-        let dbl = normalized_time_target(bench, double_refresh_platform(), target_ms, 5);
+    let configs = [
+        PlatformConfig::with_anvil(AnvilConfig::baseline()),
+        double_refresh_platform(),
+    ];
+    let cells = grid(SpecBenchmark::all(), configs, |b, config| {
+        (b, config, target_ms, 5)
+    });
+    let times = normalized_times(args.threads, &cells);
+    for (bench, pair) in SpecBenchmark::all().into_iter().zip(times.chunks(2)) {
+        let (anvil, dbl) = (pair[0], pair[1]);
         anvil_sum += anvil;
         anvil_peak = anvil_peak.max(anvil);
         dbl_sum += dbl;
@@ -376,11 +393,15 @@ pub fn figure4(args: &CampaignArgs) -> Report {
     );
     let mut records = Vec::new();
 
-    for bench in SpecBenchmark::figure4_subset() {
+    let benches = SpecBenchmark::figure4_subset();
+    let cells = grid(benches, configs, |bench, (_, anvil)| {
+        (bench, PlatformConfig::with_anvil(anvil), target_ms, 23)
+    });
+    let times = normalized_times(args.threads, &cells);
+    for (bench, times) in benches.into_iter().zip(times.chunks(configs.len())) {
         let mut row = vec![bench.name().to_string()];
         let mut entry = json!({ "benchmark": bench.name() });
-        for (label, cfg) in configs {
-            let t = normalized_time_target(bench, PlatformConfig::with_anvil(cfg), target_ms, 23);
+        for (&(label, _), &t) in configs.iter().zip(times) {
             row.push(format!("{t:.4}"));
             entry[label] = json!(t);
             eprintln!("  [{} / {label}] {t:.4}", bench.name());
@@ -438,12 +459,13 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
         ("light", AnvilConfig::light()),
         ("heavy", AnvilConfig::heavy()),
     ];
+    let pairs = run_keyed(args.threads, &AttackKind::all(), |&k| attack_pair(k));
     let mut jobs: Vec<Box<dyn FnOnce() -> MatrixCell + Send>> = Vec::new();
-    for kind in AttackKind::all() {
-        for (label, cfg) in configs {
+    for (kind, pair) in AttackKind::all().into_iter().zip(pairs) {
+        for (label, anvil) in configs {
             for heavy in [false, true] {
                 jobs.push(Box::new(move || {
-                    let s = detection_run(kind, cfg, heavy, run_ms, 3);
+                    let s = detect(&(kind, pair, anvil, heavy, run_ms, 3));
                     eprintln!(
                         "  [{} / {label} / {}] {:?}, flips {}",
                         kind.label(),

@@ -19,7 +19,7 @@
 //! the dearest one (row conflict, refresh-stall inflation) caps the lower.
 
 use anvil_attacks::PatternTemplate;
-use anvil_cache::{HierarchyConfig, PolicyKind, ReplacementPolicy};
+use anvil_cache::{HierarchyConfig, Policy, PolicyKind, ReplacementPolicy};
 use anvil_dram::{Cycle, DisturbanceConfig, DramTiming};
 use anvil_mem::{CoreModel, MemoryConfig};
 use anvil_workloads::Pattern;
@@ -114,7 +114,7 @@ pub struct EvictionProfile {
 /// faithful abstraction of how an eviction set exercises the hierarchy.
 struct SetModel {
     slots: Vec<Option<usize>>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Policy,
 }
 
 impl SetModel {

@@ -464,20 +464,10 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
     for (kind, pair) in AttackKind::all().into_iter().zip(pairs) {
         for (label, anvil) in configs {
             for heavy in [false, true] {
-                jobs.push(Box::new(move || {
-                    let s = detect(&(kind, pair, anvil, heavy, run_ms, 3));
-                    eprintln!(
-                        "  [{} / {label} / {}] {:?}, flips {}",
-                        kind.label(),
-                        if heavy { "heavy" } else { "light" },
-                        s.detect_ms,
-                        s.flips
-                    );
-                    MatrixCell {
-                        summary: s,
-                        config: label,
-                        in_scope: in_scope(label, kind),
-                    }
+                jobs.push(Box::new(move || MatrixCell {
+                    summary: detect(&(kind, pair, anvil, heavy, run_ms, 3)),
+                    config: label,
+                    in_scope: in_scope(label, kind),
                 }));
             }
         }
@@ -492,6 +482,11 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
     let mut rows = Vec::with_capacity(cells.len());
     for c in &cells {
         let s = &c.summary;
+        let load = if s.heavy_load { "heavy" } else { "light" };
+        eprintln!(
+            "  [{} / {} / {load}] {:?}, flips {}",
+            s.attack, c.config, s.detect_ms, s.flips
+        );
         if c.in_scope && (s.detect_ms.is_none() || s.flips > 0) {
             misses += 1;
         }
@@ -504,7 +499,6 @@ pub fn detection_matrix(args: &CampaignArgs) -> Report {
             .into(),
             |d| format!("{d:.1} ms"),
         );
-        let load = if s.heavy_load { "heavy" } else { "light" };
         table.row(&[
             s.attack.clone(),
             c.config.to_string(),

@@ -1,7 +1,7 @@
 //! A single set-associative cache.
 
 use crate::config::CacheConfig;
-use crate::policy::ReplacementPolicy;
+use crate::policy::{Policy, ReplacementPolicy};
 use crate::stats::CacheStats;
 
 /// The line-address word of a way that holds no line. Line addresses
@@ -61,7 +61,11 @@ pub struct Cache {
     lines: Vec<u64>,
     /// Per-set bitmask of dirty ways (a clear way is never dirty).
     dirty: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// Number of [`EMPTY`] ways across all sets. Once every set is full
+    /// (zero), a miss goes straight to the victim without scanning its
+    /// set for an empty way.
+    empty: usize,
+    policy: Policy,
     stats: CacheStats,
 }
 
@@ -83,6 +87,7 @@ impl Cache {
             latency: config.latency,
             lines: vec![EMPTY; sets * config.ways],
             dirty: vec![0; sets],
+            empty: sets * config.ways,
             policy: config.policy.build(sets, config.ways),
             stats: CacheStats::default(),
         }
@@ -127,8 +132,19 @@ impl Cache {
         &self.lines[set * self.ways..(set + 1) * self.ways]
     }
 
+    /// The way of `set` holding `line`. Every way is compared and the
+    /// matching way's number (from 1) summed: a set holds a line at most
+    /// once, so the sum is that way plus one, or 0 on a miss. The scan
+    /// has no branch on where the line sits, which is as good as random
+    /// on every level, and it compiles to a few vector compares.
     fn find(&self, set: usize, line: u64) -> Option<usize> {
-        self.set_lines(set).iter().position(|&l| l == line)
+        let way_plus_one: usize = self
+            .set_lines(set)
+            .iter()
+            .zip(1..)
+            .map(|(&l, w)| if l == line { w } else { 0 })
+            .sum();
+        way_plus_one.checked_sub(1)
     }
 
     /// Looks up `paddr`, filling on a miss. `write` marks the line dirty.
@@ -150,7 +166,13 @@ impl Cache {
         }
 
         // Miss: prefer an empty way, otherwise ask the policy.
-        let (way, evicted) = if let Some(w) = self.set_lines(set).iter().position(|&l| l == EMPTY) {
+        let empty_way = if self.empty == 0 {
+            None
+        } else {
+            self.set_lines(set).iter().position(|&l| l == EMPTY)
+        };
+        let (way, evicted) = if let Some(w) = empty_way {
+            self.empty -= 1;
             (w, None)
         } else {
             let w = self.policy.victim(set);
@@ -195,9 +217,11 @@ impl Cache {
         Some(self.clear_way(set, way))
     }
 
-    /// Empties `way` of `set`, returning whether it was dirty.
+    /// Empties `way` of `set`, which holds a line, returning whether it
+    /// was dirty.
     fn clear_way(&mut self, set: usize, way: usize) -> bool {
         self.lines[set * self.ways + way] = EMPTY;
+        self.empty += 1;
         let dirty = self.dirty[set] & (1 << way) != 0;
         self.dirty[set] &= !(1 << way);
         self.stats.invalidations = self.stats.invalidations.saturating_add(1);
@@ -221,7 +245,7 @@ impl Cache {
 
     /// Number of valid lines currently resident (diagnostic).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|&&l| l != EMPTY).count()
+        self.lines.len() - self.empty
     }
 }
 
@@ -382,7 +406,7 @@ pub(crate) mod reference {
             let sets = config.sets();
             let policy: Box<dyn ReplacementPolicy> = match config.policy {
                 PolicyKind::TreePlru => Box::new(BoolTreePlru::new(sets, config.ways)),
-                kind => kind.build(sets, config.ways),
+                kind => Box::new(kind.build(sets, config.ways)),
             };
             EntryCache {
                 sets,

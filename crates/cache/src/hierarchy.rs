@@ -27,6 +27,7 @@ pub enum HitLevel {
 impl HitLevel {
     /// Whether the access missed the last-level cache (the event ANVIL's
     /// stage-1 counter counts).
+    #[inline]
     pub fn is_llc_miss(&self) -> bool {
         matches!(self, HitLevel::Memory)
     }
@@ -148,6 +149,7 @@ impl CacheHierarchy {
     /// buffers (not cleared first), so a hot loop can reuse one pair of
     /// buffers across millions of accesses. Returns (served level,
     /// cache-side latency).
+    #[inline]
     pub fn access_into(
         &mut self,
         paddr: u64,

@@ -37,5 +37,5 @@ pub use cache::{Cache, CacheAccess, Evicted};
 pub use config::{CacheConfig, HierarchyConfig, PrefetchPolicy};
 pub use fingerprint::{fingerprint, FingerprintReport};
 pub use hierarchy::{CacheHierarchy, HierarchyAccess, HitLevel};
-pub use policy::{PolicyKind, ReplacementPolicy};
+pub use policy::{Policy, PolicyKind, ReplacementPolicy};
 pub use stats::CacheStats;

@@ -49,8 +49,68 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 }
 
-/// Selects a replacement policy; the serializable counterpart of the
-/// trait objects used at runtime.
+/// One of the six policies, dispatched by a `match` rather than through a
+/// trait object: the cache consults its policy on every hit, fill and
+/// victim choice, and a static call lets each policy's few instructions
+/// inline into the cache's access path.
+#[derive(Debug, Clone)]
+pub enum Policy {
+    /// True least-recently-used.
+    TrueLru(TrueLru),
+    /// MRU-bit pseudo-LRU.
+    BitPlru(BitPlru),
+    /// Not-recently-used.
+    Nru(Nru),
+    /// Binary-tree pseudo-LRU.
+    TreePlru(TreePlru),
+    /// Static RRIP.
+    Srrip(Srrip),
+    /// Seeded random victims.
+    Random(RandomPolicy),
+}
+
+/// Calls `$call` on the policy `$self` holds, bound as `$p`.
+macro_rules! dispatch {
+    ($self:expr, $p:ident => $call:expr) => {
+        match $self {
+            Policy::TrueLru($p) => $call,
+            Policy::BitPlru($p) => $call,
+            Policy::Nru($p) => $call,
+            Policy::TreePlru($p) => $call,
+            Policy::Srrip($p) => $call,
+            Policy::Random($p) => $call,
+        }
+    };
+}
+
+impl ReplacementPolicy for Policy {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_hit(set, way));
+    }
+
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_fill(set, way));
+    }
+
+    #[inline]
+    fn victim(&mut self, set: usize) -> usize {
+        dispatch!(self, p => p.victim(set))
+    }
+
+    #[inline]
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        dispatch!(self, p => p.on_invalidate(set, way));
+    }
+
+    fn name(&self) -> &'static str {
+        dispatch!(self, p => p.name())
+    }
+}
+
+/// Selects a replacement policy; the serializable counterpart of
+/// [`Policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// True least-recently-used.
@@ -76,15 +136,15 @@ impl PolicyKind {
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn build(&self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    pub fn build(&self, sets: usize, ways: usize) -> Policy {
         assert!(sets > 0 && ways > 0, "cache must have sets and ways");
         match *self {
-            PolicyKind::TrueLru => Box::new(TrueLru::new(sets, ways)),
-            PolicyKind::BitPlru => Box::new(BitPlru::new(sets, ways)),
-            PolicyKind::Nru => Box::new(Nru::new(sets, ways)),
-            PolicyKind::TreePlru => Box::new(TreePlru::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::Random { seed } => Box::new(RandomPolicy::new(sets, ways, seed)),
+            PolicyKind::TrueLru => Policy::TrueLru(TrueLru::new(sets, ways)),
+            PolicyKind::BitPlru => Policy::BitPlru(BitPlru::new(sets, ways)),
+            PolicyKind::Nru => Policy::Nru(Nru::new(sets, ways)),
+            PolicyKind::TreePlru => Policy::TreePlru(TreePlru::new(sets, ways)),
+            PolicyKind::Srrip => Policy::Srrip(Srrip::new(sets, ways)),
+            PolicyKind::Random { seed } => Policy::Random(RandomPolicy::new(sets, ways, seed)),
         }
     }
 

@@ -23,7 +23,15 @@ pub struct TreePlru {
     /// touch writes there (each pointing away from the way), so a touch
     /// is one masked store instead of a walk.
     paths: Vec<(u64, u64)>,
+    /// For trees of at most [`TABLE_LEAVES`] leaves, the victim of every
+    /// value of a set's tree word, so a victim is one load instead of a
+    /// walk. Unused by larger trees, which walk.
+    victims: [u8; 1 << (TABLE_LEAVES - 1)],
 }
+
+/// The largest tree (in leaves, a power of two) that keeps a victim
+/// table: 8 leaves have 7 tree bits, so the table has 128 entries.
+const TABLE_LEAVES: usize = 8;
 
 impl TreePlru {
     /// Creates the policy for `sets` x `ways`.
@@ -48,12 +56,43 @@ impl TreePlru {
                 (mask, value)
             })
             .collect();
-        TreePlru {
+        let mut p = TreePlru {
             ways,
             levels,
             bits: vec![0; sets],
             paths,
+            victims: [0; 1 << (TABLE_LEAVES - 1)],
+        };
+        if p.tabled() {
+            // A tree of `cap` leaves has `cap - 1` bits.
+            for bits in 0..1 << ((1 << levels) - 1) {
+                p.victims[bits] = p.walk(bits as u64) as u8;
+            }
         }
+        p
+    }
+
+    /// Whether the tree is small enough for the victim table.
+    fn tabled(&self) -> bool {
+        1 << self.levels <= TABLE_LEAVES
+    }
+
+    /// The way the tree word `bits` points at: follow each node's bit
+    /// from the root, steering away from leaves that do not exist (ways <
+    /// cap). Branch-free: the bits are as good as random, so a branch here
+    /// mispredicts half the time.
+    fn walk(&self, bits: u64) -> usize {
+        let mut node = 0usize;
+        let mut lo = 0usize;
+        let mut size = 1usize << self.levels;
+        for _ in 0..self.levels {
+            size /= 2;
+            let dir = ((bits >> node) & 1) as usize & usize::from(lo + size < self.ways);
+            lo += dir * size;
+            node = 2 * node + 1 + dir;
+        }
+        debug_assert!(lo < self.ways);
+        lo
     }
 
     fn touch(&mut self, set: usize, way: usize) {
@@ -74,20 +113,12 @@ impl ReplacementPolicy for TreePlru {
 
     fn victim(&mut self, set: usize) -> usize {
         let bits = self.bits[set];
-        let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut size = 1usize << self.levels;
-        for _ in 0..self.levels {
-            size /= 2;
-            // Follow the node's bit, but steer away from leaves that do
-            // not exist (ways < cap). Branch-free: the bits are as good as
-            // random, so a branch here mispredicts half the time.
-            let dir = ((bits >> node) & 1) as usize & usize::from(lo + size < self.ways);
-            lo += dir * size;
-            node = 2 * node + 1 + dir;
+        if self.tabled() {
+            // A tabled tree's word has at most 7 bits.
+            usize::from(self.victims[bits as usize])
+        } else {
+            self.walk(bits)
         }
-        debug_assert!(lo < self.ways);
-        lo
     }
 
     fn name(&self) -> &'static str {

@@ -593,13 +593,15 @@ impl Platform {
                 break Ok(());
             }
         };
-        // Re-sort the head: only its clock moved.
-        self.queue[0].0 = self.cores[idx].local;
-        let mut k = 0;
-        while k + 1 < self.queue.len() && self.queue[k + 1] < self.queue[k] {
-            self.queue.swap(k, k + 1);
-            k += 1;
+        // Re-sort the head: only its clock moved, so it moves past the
+        // prefix of the sorted rest that now sorts before it. Counting
+        // that prefix over the whole rest has no branch on its length.
+        let head = (self.cores[idx].local, idx);
+        let p = self.queue[1..].iter().filter(|&&e| e < head).count();
+        for k in 0..p {
+            self.queue[k] = self.queue[k + 1];
         }
+        self.queue[p] = head;
         result
     }
 

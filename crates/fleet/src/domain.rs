@@ -2,7 +2,7 @@
 //! population, its degradation ladder, and its flip accounting.
 
 use anvil_adversary::CrossDomainHammer;
-use anvil_core::{AnvilConfig, GuaranteeEnvelope};
+use anvil_core::{GuaranteeEnvelope, HashedConfig};
 use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{FaultRng, LifecycleInjector};
 use anvil_mem::{domain_seed, DomainId};
@@ -97,7 +97,9 @@ pub(crate) struct DomainRuntime {
     seed: u64,
     population: DimmPopulation,
     downtime_budget: Cycle,
-    anvil: AnvilConfig,
+    /// The domain's detector config, hashed once for every supervisor
+    /// boot: only `hardening.phase_seed` differs between domains.
+    anvil: HashedConfig,
     ladder: DegradationLadder,
     driver: WindowDriver,
     aggressors: [u64; 2],
@@ -163,7 +165,7 @@ impl DomainRuntime {
             seed,
             population,
             downtime_budget,
-            anvil,
+            anvil: HashedConfig::new(anvil),
             ladder,
             driver,
             aggressors,

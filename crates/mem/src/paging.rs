@@ -183,6 +183,7 @@ impl PageTable {
     }
 
     /// The frame `vpn` maps to, if any.
+    #[inline]
     fn frame(&self, vpn: u64) -> Option<u64> {
         let i = usize::try_from(vpn.checked_sub(self.base)?).ok()?;
         self.frames.get(i).copied().filter(|&pfn| pfn != UNMAPPED)
@@ -195,6 +196,7 @@ impl PageTable {
 
     /// Translates a virtual address to physical. Addresses outside every
     /// mapping — including the null page and `u64::MAX` — return `None`.
+    #[inline]
     pub fn translate(&self, vaddr: u64) -> Option<u64> {
         let pfn = self.frame(vaddr >> PAGE_SHIFT)?;
         Some((pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1)))

@@ -121,6 +121,7 @@ impl Process {
     }
 
     /// Kernel-side translation (always allowed; used by ANVIL).
+    #[inline]
     pub fn translate(&self, vaddr: u64) -> Option<u64> {
         self.table.translate(vaddr)
     }

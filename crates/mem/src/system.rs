@@ -73,6 +73,7 @@ pub struct AccessOutcome {
 
 impl AccessOutcome {
     /// Whether this access missed the last-level cache.
+    #[inline]
     pub fn llc_miss(&self) -> bool {
         self.level.is_llc_miss()
     }
@@ -248,6 +249,7 @@ impl MemorySystem {
     /// logical clock per core and serializes operations in (approximately)
     /// global time order, so `now` may trail the internal clock by up to
     /// one operation. The internal clock only ever moves forward.
+    #[inline]
     pub fn access_at(&mut self, paddr: u64, kind: AccessKind, now: Cycle) -> AccessOutcome {
         let now = now.max(self.now);
         self.now = now;

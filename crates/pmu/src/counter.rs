@@ -75,6 +75,7 @@ impl Counter {
 
     /// Adds `n` events at time `now`; returns `true` the first time the
     /// armed threshold is crossed.
+    #[inline]
     pub fn add(&mut self, n: u64, now: Cycle) -> bool {
         self.value = self.value.saturating_add(n);
         if let Some(cap) = self.saturate_at {

@@ -49,6 +49,7 @@ impl DataSource {
 }
 
 impl From<HitLevel> for DataSource {
+    #[inline]
     fn from(level: HitLevel) -> Self {
         match level {
             HitLevel::L1 => DataSource::L1,

@@ -161,6 +161,7 @@ impl Pmu {
     /// Feeds one retired memory operation completing at `now`. Returns
     /// what the hardware did (interrupt raised? sample taken?) so the
     /// platform can charge the corresponding costs.
+    #[inline]
     pub fn observe_at(&mut self, op: &RetiredOp, now: Cycle) -> PmuEffect {
         let mut effect = PmuEffect::default();
         if op.outcome.llc_miss() {

@@ -15,7 +15,7 @@
 //! ops its rate limit lets it take.
 
 use anvil_cache::HitLevel;
-use anvil_core::{AnvilConfig, DetectorStage, RuntimeError, ServiceOutcome};
+use anvil_core::{DetectorStage, HashedConfig, RuntimeError, ServiceOutcome};
 use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramGeometry, DramLocation, RowId};
 use anvil_faults::{FaultRng, LifecycleInjector};
 use anvil_mem::{AccessKind, AccessOutcome};
@@ -147,7 +147,7 @@ impl WindowDriver {
     /// lifecycle fault injector.
     pub fn boot(
         &mut self,
-        anvil: AnvilConfig,
+        anvil: impl Into<HashedConfig>,
         runtime: RuntimeConfig,
         clock: CpuClock,
         refresh_period: Cycle,
@@ -370,6 +370,7 @@ pub(crate) fn dram_read(paddr: u64, pid: u32) -> RetiredOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anvil_core::AnvilConfig;
     use anvil_faults::LifecycleFaults;
 
     #[test]

@@ -261,14 +261,14 @@ impl Supervisor {
     /// Panics if `config` fails [`AnvilConfig::validate`] (same contract
     /// as [`AnvilDetector::new`]).
     pub fn new(
-        config: AnvilConfig,
+        config: impl Into<HashedConfig>,
         runtime: RuntimeConfig,
         clock: CpuClock,
         refresh_period: Cycle,
         now: Cycle,
         pmu: &mut Pmu,
     ) -> Self {
-        let config = HashedConfig::new(config);
+        let config = config.into();
         let mut detector = AnvilDetector::new(config, &clock, refresh_period, now, pmu);
         detector.set_state_guard(runtime.guard_state);
         let mut sup = Supervisor {

@@ -6,10 +6,11 @@
 //! parallelism, event engine). Every campaign but the mechanism studies
 //! runs its cells on that many threads, the Platform-based paper and
 //! ablation records included, so this setting compares a multi-threaded
-//! regeneration (2 threads on CI) with the committed bytes. Records whose
-//! release run takes under 30 s at one thread are also checked at one
-//! thread under the per-op reference engine, which proves thread-count
-//! and engine independence on the committed full-scale records.
+//! regeneration (2 threads on CI) with the committed bytes. The faster
+//! records (up to table3's 35-44 s at one thread) are also checked at
+//! one thread under the per-op reference engine, which proves
+//! thread-count and engine independence on the committed full-scale
+//! records.
 //! Campaigns that take more than about 5 s in release are `#[ignore]`d
 //! here and run by the CI `records` job:
 //!
@@ -133,13 +134,19 @@ records! {
         static_analysis, selfdefense, fingerprint, eviction_pattern, mitigation_compare,
         refresh_power, row_buffer_policy, evasion, verifier, pagemap_hardening,
         refresh_sweep, ecc_analysis, victim_radius;
-    // 6 s (fleet, soak) to 17 s (ablation_threshold).
-    #[ignore = "5-30 s; run by the CI records job"]
-    [parallel, serial_per_op]: soak, ablation_threshold, overhead_breakdown, fleet, table1;
-    // 40 s (table3, resilience) to 251 s (table5).
-    #[ignore = "over 30 s; run by the CI records job"]
+    // 3 s (fleet) to 35-44 s (table3), on a host where table3 read
+    // 33-41 s at the previous commit; soak 3.7, table1 11.4,
+    // overhead_breakdown 13.6 and ablation_threshold 16.5 s.
+    #[ignore = "up to 45 s; run by the CI records job"]
+    [parallel, serial_per_op]:
+        soak, ablation_threshold, overhead_breakdown, fleet, table1, table3;
+    // 27 s (resilience) to 251 s (table5, not re-timed). resilience
+    // (26.9 s), ablation_sampling (40.6 s) and fuzz (43.4 s) would fit
+    // the group above; their one-thread checks would add about 110 s to
+    // the CI records job.
+    #[ignore = "parallel only; run by the CI records job"]
     [parallel]:
-        resilience, fuzz, ablation_sampling, detection_matrix, table3, figure4, figure3,
+        resilience, fuzz, ablation_sampling, detection_matrix, figure4, figure3,
         ablation_bank_check, table4, table5;
 }
 

@@ -1,11 +1,17 @@
 //! The three-level cache hierarchy of the simulated Sandy Bridge part.
 //!
-//! L1D and L2 are private write-back caches; the last-level cache is
-//! *inclusive*, physically indexed, and organized into slices (one per
-//! core, Section 2.2). Inclusivity is what makes the CLFLUSH-free attack
-//! work: "it is enough to evict a word from the last-level cache to bypass
-//! the whole cache hierarchy" — evicting a line from the L3 back-invalidates
-//! any copy in L1/L2.
+//! One hierarchy holds one L1D, one L2 and the last-level cache, all
+//! write-back. The last-level cache is *inclusive*, physically indexed,
+//! and organized into slices (one per core, Section 2.2). Inclusivity is
+//! what makes the CLFLUSH-free attack work: "it is enough to evict a word
+//! from the last-level cache to bypass the whole cache hierarchy" —
+//! evicting a line from the L3 back-invalidates any copy in L1/L2.
+//!
+//! On the real part L1D and L2 are private to each core. The model does
+//! not make them so: a `MemorySystem` owns one hierarchy, and every core
+//! of a multi-core `Platform` shares it, so co-running workloads and the
+//! attacker contend for a single L1D and L2 as well as for the shared
+//! L3. Per-core L1D and L2 are an open fidelity item (ROADMAP).
 
 use crate::cache::Cache;
 use crate::config::HierarchyConfig;

@@ -17,7 +17,7 @@ use crate::locality::{
 };
 use crate::transition;
 use anvil_dram::{AddressMapping, BankId, CpuClock, Cycle, DramLocation, RowId};
-use anvil_pmu::{DataSource, EventKind, Pmu, SampleFilter, SampleRecord};
+use anvil_pmu::{DataSource, EventKind, Pmu, SampleFilter};
 use serde::{Deserialize, Serialize};
 
 /// Which window the detector is currently in.
@@ -230,12 +230,10 @@ pub struct AnvilDetector {
     /// checkpoints are written far too often to re-serialize the config
     /// each time.
     config_fingerprint: u64,
-    /// Reusable receive buffer for PEBS drains, so every stage-2 window
-    /// reuses one allocation instead of regrowing a fresh `Vec`. Not part
-    /// of the detector's logical state (never checkpointed).
-    records_scratch: Vec<SampleRecord>,
     /// Reusable stage-2 analysis buffers (translated samples, row groups,
-    /// pids), on the same terms as `records_scratch`.
+    /// pids), so every stage-2 window reuses the previous one's
+    /// allocations. Not part of the detector's logical state (never
+    /// checkpointed).
     locality: LocalityScratch,
 }
 
@@ -342,7 +340,6 @@ impl AnvilDetector {
             may_be_sealed: false,
             armed_filter: SampleFilter::LoadsAndStores,
             config_fingerprint: hashed.hash(),
-            records_scratch: Vec::new(),
             locality: LocalityScratch::default(),
         };
         det.deadline = now + det.next_stage1_window();
@@ -421,7 +418,7 @@ impl AnvilDetector {
         now: Cycle,
         pmu: &mut Pmu,
         mapping: &AddressMapping,
-        translate: &mut dyn FnMut(u32, u64) -> Option<u64>,
+        translate: &mut impl FnMut(u32, u64) -> Option<u64>,
     ) -> ServiceOutcome {
         debug_assert!(now >= self.deadline, "serviced before the deadline");
         // Watchdog: record every late service. On real hardware this is
@@ -511,7 +508,7 @@ impl AnvilDetector {
         slip: Cycle,
         pmu: &mut Pmu,
         mapping: &AddressMapping,
-        translate: &mut dyn FnMut(u32, u64) -> Option<u64>,
+        translate: &mut impl FnMut(u32, u64) -> Option<u64>,
     ) -> ServiceOutcome {
         self.stats.stage2_windows = self.stats.stage2_windows.saturating_add(1);
         let misses = pmu.counter(EventKind::LongestLatCacheMiss).read();
@@ -520,10 +517,9 @@ impl AnvilDetector {
             .sampler()
             .samples_dropped()
             .saturating_sub(self.dropped_at_arm);
-        let mut records = std::mem::take(&mut self.records_scratch);
-        pmu.drain_samples_into(&mut records);
 
-        // Keep DRAM-sourced samples and translate them to rows. Hardened
+        // Keep DRAM-sourced samples and translate them to rows, reading
+        // the records where the PEBS buffer holds them. Hardened
         // detectors weigh each sample by its activation evidence: a
         // latency under the row-miss cutoff means the load was served by
         // an already-open row buffer — camouflage filler that cannot be
@@ -531,27 +527,22 @@ impl AnvilDetector {
         let h = self.config.hardening;
         let mut unresolved = 0u64;
         let samples = self.locality.clear_samples();
-        samples.extend(
-            records
-                .iter()
-                .filter(|r| r.source == DataSource::Dram)
-                .filter_map(|r| {
-                    let Some(paddr) = translate(r.pid, r.vaddr) else {
-                        unresolved += 1;
-                        return None;
-                    };
-                    let weight = transition::sample_weight(&h, r.latency);
-                    Some(RowSample {
-                        row: mapping.location_of(paddr).row_id(),
-                        paddr,
-                        pid: r.pid,
-                        weight,
-                    })
-                }),
-        );
+        pmu.sampler_mut().drain_with(|r| {
+            if r.source != DataSource::Dram {
+                return;
+            }
+            let Some(paddr) = translate(r.pid, r.vaddr) else {
+                unresolved += 1;
+                return;
+            };
+            samples.push(RowSample {
+                row: mapping.location_of(paddr).row_id(),
+                paddr,
+                pid: r.pid,
+                weight: transition::sample_weight(&h, r.latency),
+            });
+        });
         let usable = samples.len() as u64;
-        records.clear();
-        self.records_scratch = records;
         self.stats.samples_analyzed = self.stats.samples_analyzed.saturating_add(usable);
         self.stats.samples_lost = self.stats.samples_lost.saturating_add(lost);
         self.stats.samples_unresolved = self.stats.samples_unresolved.saturating_add(unresolved);
@@ -1067,31 +1058,35 @@ impl AnvilDetector {
         }
     }
 
-    /// Rebuilds a detector from a checkpoint, resuming at time `now`.
+    /// Restores this detector from a checkpoint, resuming at time `now`.
+    /// The detector restored over is typically one that crashed: its
+    /// ledger slots, pid buffers and scratch buffers are reused, and
+    /// nothing else of its state survives.
     ///
     /// Refuses a checkpoint whose format version or config hash does not
     /// match ([`RuntimeError::VersionMismatch`] /
-    /// [`RuntimeError::ConfigMismatch`]); the caller falls back to a cold
-    /// start. PMU counters are cleared (their pre-crash contents are
-    /// gone on real hardware too). If the checkpointed deadline is still
-    /// in the future the interrupted window resumes — re-arming the saved
-    /// PEBS filter when stage 2 was in flight — otherwise the downtime
-    /// swallowed the window and stage 1 restarts fresh at `now` (the
-    /// recovery protocol's blanket refresh covers what the lost window
-    /// might have seen).
+    /// [`RuntimeError::ConfigMismatch`]), leaving the detector untouched;
+    /// the caller falls back to a cold start. PMU counters are cleared
+    /// (their pre-crash contents are gone on real hardware too). If the
+    /// checkpointed deadline is still in the future the interrupted
+    /// window resumes — re-arming the saved PEBS filter when stage 2 was
+    /// in flight — otherwise the downtime swallowed the window and stage
+    /// 1 restarts fresh at `now` (the recovery protocol's blanket refresh
+    /// covers what the lost window might have seen).
     ///
     /// # Panics
     ///
     /// Panics if `config` fails [`AnvilConfig::validate`] (same contract
     /// as [`new`](Self::new)).
     pub fn restore(
+        &mut self,
         config: impl Into<HashedConfig>,
         clock: &CpuClock,
         refresh_period: Cycle,
         now: Cycle,
         pmu: &mut Pmu,
         ckpt: &DetectorCheckpoint,
-    ) -> Result<Self, RuntimeError> {
+    ) -> Result<(), RuntimeError> {
         if ckpt.version != CHECKPOINT_VERSION {
             return Err(RuntimeError::VersionMismatch {
                 expected: CHECKPOINT_VERSION,
@@ -1114,7 +1109,11 @@ impl AnvilDetector {
         pmu.counter_mut(EventKind::MemLoadUopsRetiredLlcMiss)
             .clear();
         pmu.sampler_mut().set_jitter_state(ckpt.pebs_jitter);
-        let mut det = AnvilDetector {
+        let mut ledger = std::mem::take(&mut self.ledger);
+        ledger.restore_rows(&ckpt.ledger);
+        let mut corruptions = std::mem::take(&mut self.corruptions);
+        corruptions.clear();
+        *self = AnvilDetector {
             config,
             refresh_period,
             tc: config.tc_cycles(clock),
@@ -1130,24 +1129,23 @@ impl AnvilDetector {
             carry: GuardedCell::new(ckpt.carry),
             phase_state: GuardedCell::new(ckpt.phase_state),
             window_scale: GuardedCell::new(ckpt.window_scale),
-            ledger: SuspicionLedger::from_rows(&ckpt.ledger),
+            ledger,
             resamples: GuardedCell::new(ckpt.resamples),
             guard: GuardMode::Guarded,
-            corruptions: Vec::new(),
+            corruptions,
             may_be_sealed: false,
             armed_filter: ckpt.armed_filter,
             config_fingerprint: expected,
-            records_scratch: Vec::new(),
-            locality: LocalityScratch::default(),
+            locality: std::mem::take(&mut self.locality),
         };
-        if det.deadline <= now {
+        if self.deadline <= now {
             // The downtime gap swallowed the in-flight window.
-            det.restart_stage1(now, pmu);
-        } else if det.stage == DetectorStage::Sampling {
-            pmu.enable_sampling(det.armed_filter, now);
-            det.dropped_at_arm = pmu.sampler().samples_dropped();
+            self.restart_stage1(now, pmu);
+        } else if self.stage == DetectorStage::Sampling {
+            pmu.enable_sampling(self.armed_filter, now);
+            self.dropped_at_arm = pmu.sampler().samples_dropped();
         }
-        Ok(det)
+        Ok(())
     }
 
     /// Atomically swaps in a validated configuration at a stage-1 window
@@ -1605,6 +1603,18 @@ mod tests {
 
     /// Feeds `misses` identity-mapped LLC misses before the deadline and
     /// services the window.
+    /// A detector restored from `ckpt` at `now` over a new one.
+    fn restore_fresh(
+        config: AnvilConfig,
+        now: Cycle,
+        pmu: &mut Pmu,
+        ckpt: &DetectorCheckpoint,
+    ) -> Result<AnvilDetector, RuntimeError> {
+        let mut det = AnvilDetector::new(config, &CLOCK, PERIOD, 0, pmu);
+        det.restore(config, &CLOCK, PERIOD, now, pmu, ckpt)
+            .map(|()| det)
+    }
+
     fn feed_and_service(det: &mut AnvilDetector, pmu: &mut Pmu, misses: u64) -> ServiceOutcome {
         let mapping = AddressMapping::new(DramGeometry::ddr3_4gb());
         let deadline = det.deadline();
@@ -1625,10 +1635,8 @@ mod tests {
         let ckpt = det.checkpoint(&pmu);
 
         let mut pmu2 = Pmu::new(SamplerConfig::anvil_default());
-        let restored = AnvilDetector::restore(
+        let restored = restore_fresh(
             AnvilConfig::hardened(),
-            &CLOCK,
-            PERIOD,
             ckpt.deadline.saturating_sub(1),
             &mut pmu2,
             &ckpt,
@@ -1651,9 +1659,7 @@ mod tests {
         let mut pmu = Pmu::new(SamplerConfig::anvil_default());
         let det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
         let ckpt = det.checkpoint(&pmu);
-        let err =
-            AnvilDetector::restore(AnvilConfig::baseline(), &CLOCK, PERIOD, 0, &mut pmu, &ckpt)
-                .unwrap_err();
+        let err = restore_fresh(AnvilConfig::baseline(), 0, &mut pmu, &ckpt).unwrap_err();
         assert!(matches!(err, RuntimeError::ConfigMismatch { .. }));
     }
 
@@ -1665,10 +1671,8 @@ mod tests {
         let ckpt = det.checkpoint(&pmu);
         let gap_end = ckpt.deadline + 50_000_000; // downtime ate the window
         let mut pmu2 = Pmu::new(SamplerConfig::anvil_default());
-        let restored = AnvilDetector::restore(
+        let restored = restore_fresh(
             AnvilConfig::hardened(),
-            &CLOCK,
-            PERIOD,
             gap_end,
             &mut pmu2,
             &restored_ckpt(&ckpt),
@@ -1699,10 +1703,8 @@ mod tests {
         assert!(ckpt.sampling);
         assert_eq!(ckpt.armed_filter, filter);
         let mut pmu2 = Pmu::new(SamplerConfig::anvil_default());
-        let restored = AnvilDetector::restore(
+        let restored = restore_fresh(
             AnvilConfig::baseline(),
-            &CLOCK,
-            PERIOD,
             ckpt.deadline - det.config().ts_cycles(&CLOCK) / 2,
             &mut pmu2,
             &ckpt,
@@ -1773,9 +1775,7 @@ mod tests {
             .collect();
         let corrupted = || {
             let mut pmu = Pmu::new(SamplerConfig::anvil_default());
-            let mut det =
-                AnvilDetector::restore(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu, &ckpt)
-                    .unwrap();
+            let mut det = restore_fresh(AnvilConfig::hardened(), 0, &mut pmu, &ckpt).unwrap();
             // Repairable and unrepairable damage in scalar and ledger
             // cells, word and seal bits alike.
             for (cell, mask, bit) in [
@@ -1928,10 +1928,11 @@ mod proptests {
             }
             let bytes = b.checkpoint(&pmu_b).to_bytes();
             let ckpt = DetectorCheckpoint::from_bytes(&bytes).unwrap();
+            // The restart restores over the crashed detector, reusing
+            // its buffers.
             let mut pmu_b = Pmu::new(SamplerConfig::anvil_default());
-            let mut b =
-                AnvilDetector::restore(config, &CLOCK, PERIOD, start_b, &mut pmu_b, &ckpt)
-                    .unwrap();
+            b.restore(config, &CLOCK, PERIOD, start_b, &mut pmu_b, &ckpt)
+                .unwrap();
             for &m in &windows[cut + 1..] {
                 start_b = drive_window(&mut b, &mut pmu_b, m, start_b);
             }

@@ -13,7 +13,6 @@ use crate::config::AnvilConfig;
 use crate::guard::{GuardedCell, GuardedValue, StateCorruption, StateSite};
 use anvil_dram::{BankId, Cycle, RowId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Weight (in millis) of a sample carrying full activation evidence.
@@ -437,22 +436,52 @@ impl SuspicionLedger {
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of
-    /// [`to_rows`](SuspicionLedger::to_rows)). A row listed twice keeps
-    /// its last listing.
+    /// [`to_rows`](SuspicionLedger::to_rows)): the
+    /// [`restore_rows`](Self::restore_rows) of an empty ledger.
     pub fn from_rows(rows: &[LedgerRow]) -> Self {
-        let by_row: BTreeMap<RowId, &LedgerRow> = rows.iter().map(|r| (r.row, r)).collect();
-        SuspicionLedger {
-            order: by_row.keys().map(|&row| site_key(row)).zip(0..).collect(),
-            scores: by_row.values().map(|r| GuardedCell::new(r.score)).collect(),
-            slots: by_row
-                .values()
-                .map(|r| LedgerEntry {
+        let mut ledger = SuspicionLedger::default();
+        ledger.restore_rows(rows);
+        ledger
+    }
+
+    /// Replaces the ledger's entries with checkpointed `rows`, reusing
+    /// its slots and their pid buffers, so a detector restored over a
+    /// crashed one allocates only for rows beyond the crashed ledger's
+    /// slots. A row listed twice keeps its last listing. Runtime state
+    /// resets as in a new ledger: guarded reads, no pending corruption
+    /// reports, nothing possibly sealed.
+    pub(crate) fn restore_rows(&mut self, rows: &[LedgerRow]) {
+        self.order.clear();
+        self.free.clear();
+        self.pending.clear();
+        self.guarded = true;
+        self.may_be_sealed = false;
+        for (slot, r) in rows.iter().enumerate() {
+            if let Some(e) = self.slots.get_mut(slot) {
+                self.scores[slot].store(r.score);
+                e.windows.store(r.windows);
+                copy_pids(&mut e.pids, &r.pids);
+            } else {
+                self.scores.push(GuardedCell::new(r.score));
+                self.slots.push(LedgerEntry {
                     windows: GuardedCell::new(r.windows),
                     pids: r.pids.clone(),
-                })
-                .collect(),
-            ..SuspicionLedger::default()
+                });
+            }
+            self.order.push((site_key(r.row), slot));
         }
+        self.free.extend(rows.len()..self.slots.len());
+        // Checkpoint rows come in row order, so the stable sort only
+        // confirms it. Of a row's listings, the later one's slot is kept.
+        self.order.sort_by_key(|&(key, _)| key);
+        let free = &mut self.free;
+        self.order.dedup_by(|later, kept| {
+            if later.0 != kept.0 {
+                return false;
+            }
+            free.push(std::mem::replace(&mut kept.1, later.1));
+            true
+        });
     }
 
     /// Switches guarded (majority + scrub) vs unguarded (blind replica-0)
@@ -559,8 +588,11 @@ struct RowGroup {
 #[derive(Debug, Default)]
 pub(crate) struct LocalityScratch {
     samples: Vec<RowSample>,
-    /// The samples' indices in row order (see [`row_order`]).
-    order: Vec<u128>,
+    /// Row-order keys of a window whose ids pack into 64 bits (see
+    /// [`RowKey`]).
+    narrow: Vec<u64>,
+    /// Row-order keys of any other window.
+    wide: Vec<u128>,
     groups: Vec<RowGroup>,
     pids: Vec<u32>,
 }
@@ -616,57 +648,97 @@ pub fn analyze_with_ledger(
     analyze_window(config, &mut scratch, misses, ts, refresh_period, ledger)
 }
 
-/// Lists the indices of `samples` in `order` by row, ties in sampling
-/// order: the order a stable sort by row would leave the samples in.
+/// A sort key for one sample: its bank and row above its index in the
+/// window, packed as `((bank << row_bits) | row) << index_bits | index`,
+/// so keys sort by bank, then row, then sampling order — the order a
+/// stable sort by row would leave the samples in.
 ///
-/// An entry is the sample's bank and row above its index, so one
-/// unstable sort of plain integers does the work.
-fn row_order(samples: &[RowSample], order: &mut Vec<u128>) {
-    order.clear();
-    order.extend(
-        samples
-            .iter()
-            .zip(0u128..)
-            .map(|(s, i)| (u128::from(s.row.bank.0) << 96) | (u128::from(s.row.row) << 64) | i),
-    );
-    order.sort_unstable();
+/// A window's widest bank, row and index set the field widths. Nearly
+/// every window's keys fit in a `u64`, which sorts about twice as fast as
+/// the `u128` that holds any window's.
+trait RowKey: Copy + Ord {
+    /// The key of sample `s`, the window's `index`-th.
+    fn pack(s: &RowSample, index: usize, layout: &KeyLayout) -> Self;
+    /// The sample index the key packs.
+    fn index(self, layout: &KeyLayout) -> usize;
 }
 
-/// [`analyze_with_ledger`] over the samples in `scratch`.
-pub(crate) fn analyze_window(
-    config: &AnvilConfig,
-    scratch: &mut LocalityScratch,
-    misses: u64,
-    ts: Cycle,
-    refresh_period: Cycle,
-    ledger: Option<&mut SuspicionLedger>,
-) -> LocalityReport {
-    let LocalityScratch {
-        samples,
-        order,
-        groups,
-        pids,
-    } = scratch;
-    let total = samples.len() as u32;
-    let mut report = LocalityReport {
-        aggressors: Vec::new(),
-        total_samples: total,
-        misses_in_window: misses,
-    };
-    if total == 0 || misses == 0 {
-        return report;
+/// The field widths of a window's [`RowKey`]s.
+struct KeyLayout {
+    row_bits: u32,
+    index_bits: u32,
+    /// The low `index_bits` set.
+    index_mask: u128,
+    /// Whether the three fields fit in 64 bits.
+    narrow: bool,
+}
+
+impl KeyLayout {
+    /// The narrowest fields that hold every bank, row and index of
+    /// `samples`.
+    fn of(samples: &[RowSample]) -> Self {
+        let (banks, rows) = samples
+            .iter()
+            .fold((0u32, 0u32), |(b, r), s| (b | s.row.bank.0, r | s.row.row));
+        let bank_bits = u32::BITS - banks.leading_zeros();
+        let row_bits = u32::BITS - rows.leading_zeros();
+        let index_bits = usize::BITS - samples.len().saturating_sub(1).leading_zeros();
+        KeyLayout {
+            row_bits,
+            index_bits,
+            index_mask: (1u128 << index_bits) - 1,
+            narrow: bank_bits + row_bits + index_bits <= u64::BITS,
+        }
+    }
+}
+
+impl RowKey for u64 {
+    fn pack(s: &RowSample, index: usize, l: &KeyLayout) -> Self {
+        let row = (u64::from(s.row.bank.0) << l.row_bits) | u64::from(s.row.row);
+        (row << l.index_bits) | index as u64
     }
 
-    // Group samples per row (raw count, evidence weight, issuing pids),
-    // visiting them in row order. Ties keep their sampling order, so each
-    // row's pids keep their first-seen order, which the ledger stores and
-    // checkpoints carry.
-    row_order(samples, order);
+    fn index(self, l: &KeyLayout) -> usize {
+        (self & l.index_mask as u64) as usize
+    }
+}
+
+impl RowKey for u128 {
+    fn pack(s: &RowSample, index: usize, l: &KeyLayout) -> Self {
+        let row = (u128::from(s.row.bank.0) << l.row_bits) | u128::from(s.row.row);
+        (row << l.index_bits) | index as u128
+    }
+
+    fn index(self, l: &KeyLayout) -> usize {
+        (self & l.index_mask) as usize
+    }
+}
+
+/// Groups `samples` per row (raw count, evidence weight, issuing pids)
+/// into `groups`, visiting them in row order through one unstable sort
+/// of `keys`, and returns the window's total weight. Ties keep their
+/// sampling order, so each row's pids keep their first-seen order, which
+/// the ledger stores and checkpoints carry.
+fn group_rows<K: RowKey>(
+    samples: &[RowSample],
+    layout: &KeyLayout,
+    keys: &mut Vec<K>,
+    groups: &mut Vec<RowGroup>,
+    pids: &mut Vec<u32>,
+) -> u64 {
+    keys.clear();
+    keys.extend(
+        samples
+            .iter()
+            .enumerate()
+            .map(|(i, s)| K::pack(s, i, layout)),
+    );
+    keys.sort_unstable();
     groups.clear();
     pids.clear();
     let mut total_weight: u64 = 0;
-    for &entry in order.iter() {
-        let s = &samples[entry as u64 as usize];
+    for &key in keys.iter() {
+        let s = &samples[key.index(layout)];
         total_weight += u64::from(s.weight);
         match groups.last_mut() {
             Some(g) if g.row == s.row => {
@@ -691,6 +763,41 @@ pub(crate) fn analyze_window(
             }
         }
     }
+    total_weight
+}
+
+/// [`analyze_with_ledger`] over the samples in `scratch`.
+pub(crate) fn analyze_window(
+    config: &AnvilConfig,
+    scratch: &mut LocalityScratch,
+    misses: u64,
+    ts: Cycle,
+    refresh_period: Cycle,
+    ledger: Option<&mut SuspicionLedger>,
+) -> LocalityReport {
+    let LocalityScratch {
+        samples,
+        narrow,
+        wide,
+        groups,
+        pids,
+    } = scratch;
+    let total = samples.len() as u32;
+    let mut report = LocalityReport {
+        aggressors: Vec::new(),
+        total_samples: total,
+        misses_in_window: misses,
+    };
+    if total == 0 || misses == 0 {
+        return report;
+    }
+
+    let layout = KeyLayout::of(samples);
+    let total_weight = if layout.narrow {
+        group_rows(samples, &layout, narrow, groups, pids)
+    } else {
+        group_rows(samples, &layout, wide, groups, pids)
+    };
     if total_weight == 0 {
         return report;
     }
@@ -1134,7 +1241,7 @@ mod oracle {
     use super::*;
     use anvil_dram::BankId;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     const TS: Cycle = 15_600_000;
     const PERIOD: Cycle = 166_400_000;
@@ -1368,6 +1475,152 @@ mod oracle {
         }
     }
 
+    /// One row's group as a stable sort by row leaves it: the row, its
+    /// raw samples, their summed weight and its distinct pids in
+    /// first-seen order.
+    type Group = (RowId, u32, u64, Vec<u32>);
+
+    /// The groups of a stable sort of `samples` by row.
+    fn stable_groups(samples: &[RowSample]) -> Vec<Group> {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by_key(|s| s.row);
+        let mut groups: Vec<Group> = Vec::new();
+        for s in sorted {
+            match groups.last_mut() {
+                Some(g) if g.0 == s.row => {
+                    g.1 += 1;
+                    g.2 += u64::from(s.weight);
+                    if !g.3.contains(&s.pid) {
+                        g.3.push(s.pid);
+                    }
+                }
+                _ => groups.push((s.row, 1, u64::from(s.weight), vec![s.pid])),
+            }
+        }
+        groups
+    }
+
+    /// The groups `analyze_window` left in `scratch`.
+    fn scratch_groups(scratch: &LocalityScratch) -> Vec<Group> {
+        scratch
+            .groups
+            .iter()
+            .map(|g| {
+                (
+                    g.row,
+                    g.samples,
+                    g.weight,
+                    scratch.pids[g.pids.clone()].to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// Bank and row ids: small ones, ones that need a few more bits, and
+    /// ones at `u32::MAX`, which force the `u128` keys.
+    const IDS: [u32; 8] = [0, 1, 2, 3, 1 << 20, (1 << 20) + 1, u32::MAX - 1, u32::MAX];
+
+    /// Analyzes `samples` with `ledger` and `reference` through one
+    /// scratch, checking its groups against a stable sort by row and the
+    /// report and ledger rows against the reference.
+    fn check_row_order(
+        config: &AnvilConfig,
+        scratch: &mut LocalityScratch,
+        samples: &[RowSample],
+        misses: u64,
+        ledger: &mut SuspicionLedger,
+        reference: &mut RefLedger,
+    ) {
+        scratch.clear_samples().extend_from_slice(samples);
+        let got = analyze_window(config, scratch, misses, TS, PERIOD, Some(ledger));
+        // An empty window returns before grouping.
+        if !samples.is_empty() {
+            assert_eq!(scratch_groups(scratch), stable_groups(samples));
+        }
+        let want = ref_analyze(config, samples, misses, TS, PERIOD, Some(reference));
+        assert_eq!(got, want);
+        assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
+    }
+
+    /// Windows of more than 2^16 samples group like a stable sort by
+    /// row, over small ids (64-bit keys with 17 index bits) and over ids
+    /// near `u32::MAX` (128-bit keys).
+    #[test]
+    fn large_windows_group_like_a_stable_sort() {
+        let config = AnvilConfig::hardened();
+        let mut scratch = LocalityScratch::default();
+        let mut ledger = SuspicionLedger::new();
+        let mut reference = RefLedger {
+            entries: BTreeMap::new(),
+            guarded: true,
+            pending: Vec::new(),
+        };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for ids in [&IDS[..4], &IDS[..]] {
+            let samples: Vec<Sample> = (0..(1 << 16) + 9)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let id = |shift: u32| ids[(x >> shift) as usize % ids.len()];
+                    (id(0), id(8), (x >> 16) as u32 % 5, (x >> 24) as u8 % 5)
+                })
+                .collect();
+            let samples = to_samples(&samples);
+            check_row_order(
+                &config,
+                &mut scratch,
+                &samples,
+                400_000,
+                &mut ledger,
+                &mut reference,
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Over windows of duplicate rows, interleaved pids and bank and
+        /// row ids from zero to `u32::MAX`, analyzed one after another
+        /// through one scratch and one ledger, `analyze_window`'s groups
+        /// (rows, counts, weights and pid order) equal a stable sort by
+        /// row's, and its reports and ledger rows equal the map-based
+        /// reference's.
+        #[test]
+        fn grouping_matches_a_stable_sort_by_row(
+            windows in prop::collection::vec(
+                (
+                    prop::collection::vec((0usize..8, 0usize..8, 0u32..4, 0u8..5), 0..80),
+                    0u64..400_000,
+                    1usize..9,
+                ),
+                1..6,
+            ),
+        ) {
+            let config = AnvilConfig::hardened();
+            let mut scratch = LocalityScratch::default();
+            let mut ledger = SuspicionLedger::new();
+            let mut reference = RefLedger {
+                entries: BTreeMap::new(),
+                guarded: true,
+                pending: Vec::new(),
+            };
+            for (raw, misses, span) in &windows {
+                // A window draws its ids from the first `span`: small ids
+                // only, up to ones that need 21 bits (both 64-bit keys),
+                // or up to `u32::MAX` (128-bit keys).
+                let id = |i: usize| IDS[i % span];
+                let raw: Vec<Sample> = raw
+                    .iter()
+                    .map(|&(bank, row, pid, weight)| (id(bank), id(row), pid, weight))
+                    .collect();
+                let samples = to_samples(&raw);
+                let misses = misses.max(&1);
+                check_row_order(&config, &mut scratch, &samples, *misses, &mut ledger, &mut reference);
+            }
+        }
+    }
+
     type Sample = (u32, u32, u32, u8);
     /// A stale checkpoint row: bank, row and pid count.
     type Stale = (u32, u32, u8);
@@ -1525,6 +1778,68 @@ mod oracle {
                     reference.scrub_cells(slice, of, base);
                     prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
                 }
+            }
+        }
+
+        /// Rows restored over a ledger that has absorbed windows and
+        /// holds corrupted cells — rows of random length, listing some
+        /// rows twice — give the ledger a map-based restore gives, with
+        /// nothing pending, and the two analyze the next windows alike.
+        #[test]
+        fn restoring_over_a_used_ledger_matches_a_map_based_restore(
+            before in prop::collection::vec(
+                prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                0..4,
+            ),
+            hits in prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
+            rows in prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..12),
+            after in prop::collection::vec(
+                prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                1..4,
+            ),
+            guarded in any::<bool>(),
+        ) {
+            let config = AnvilConfig::hardened();
+            let mut ledger = SuspicionLedger::new();
+            ledger.set_guarded(guarded);
+            for raw in &before {
+                let _ = analyze_with_ledger(&config, &to_samples(raw), 200_000, TS, PERIOD, Some(&mut ledger));
+            }
+            for &(cell, mask, bit) in &hits {
+                let cells = ledger.cell_count();
+                if cells > 0 {
+                    ledger.corrupt_cell(cell % cells, mask, bit);
+                }
+            }
+            // Queues reports for the corrupted cells, which the restore
+            // drops.
+            ledger.scrub_cells(0, 1, 0);
+            let rows: Vec<LedgerRow> = stale_rows(&rows).collect();
+            ledger.restore_rows(&rows);
+            let mut reference = RefLedger {
+                entries: BTreeMap::new(),
+                guarded: true,
+                pending: Vec::new(),
+            };
+            for r in &rows {
+                reference.entries.insert(
+                    r.row,
+                    RefEntry {
+                        score: GuardedCell::new(r.score),
+                        windows: GuardedCell::new(r.windows),
+                        pids: r.pids.clone(),
+                    },
+                );
+            }
+            prop_assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
+            prop_assert!(ledger.take_corruptions().is_empty());
+            for raw in &after {
+                let samples = to_samples(raw);
+                let got = analyze_with_ledger(&config, &samples, 200_000, TS, PERIOD, Some(&mut ledger));
+                let want = ref_analyze(&config, &samples, 200_000, TS, PERIOD, Some(&mut reference));
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
+                prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
             }
         }
     }

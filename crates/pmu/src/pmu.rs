@@ -142,12 +142,6 @@ impl Pmu {
         self.sampler.drain()
     }
 
-    /// Drains the PEBS buffer into `out` (cleared first), preserving both
-    /// allocations — see [`Sampler::drain_into`].
-    pub fn drain_samples_into(&mut self, out: &mut Vec<SampleRecord>) {
-        self.sampler.drain_into(out);
-    }
-
     /// Total counter-overflow interrupts raised (for overhead accounting).
     pub fn interrupts_raised(&self) -> u64 {
         self.interrupts

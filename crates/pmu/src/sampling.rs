@@ -254,13 +254,13 @@ impl Sampler {
         std::mem::take(&mut self.buffer)
     }
 
-    /// Drains the debug-store buffer into `out` (cleared first). Both the
-    /// internal buffer and `out` keep their capacity, so a detector that
-    /// drains every stage-2 window reuses the same two allocations for
-    /// the whole run instead of regrowing a fresh `Vec` each time.
-    pub fn drain_into(&mut self, out: &mut Vec<SampleRecord>) {
-        out.clear();
-        out.append(&mut self.buffer);
+    /// Hands each buffered record to `f` in arrival order, then empties
+    /// the buffer, keeping its capacity: a detector that drains every
+    /// stage-2 window reads the records where they lie, and the buffer
+    /// reuses one allocation for the whole run.
+    pub fn drain_with(&mut self, f: impl FnMut(&SampleRecord)) {
+        self.buffer.iter().for_each(f);
+        self.buffer.clear();
     }
 }
 

@@ -350,7 +350,7 @@ impl Supervisor {
         now: Cycle,
         pmu: &mut Pmu,
         mapping: &AddressMapping,
-        translate: &mut dyn FnMut(u32, u64) -> Option<u64>,
+        translate: &mut impl FnMut(u32, u64) -> Option<u64>,
     ) -> Result<SupervisedOutcome, RuntimeError> {
         // Leaving the quiet fast path: make the detector's cells and the
         // stored checkpoint current before the full machinery looks.
@@ -555,13 +555,16 @@ impl Supervisor {
         pmu: &mut Pmu,
     ) -> RecoveryReport {
         let resumed_at = crashed_at + gap;
+        // The crashed detector is restored over, so its ledger slots and
+        // buffers are reused; a refused checkpoint leaves it untouched
+        // for the cold start to replace.
         let restored = self
             .checkpoint
             .as_ref()
             .ok_or(RuntimeError::CheckpointUndecodable)
             .and_then(StoredCheckpoint::read_back)
             .and_then(|ckpt| {
-                AnvilDetector::restore(
+                self.detector.restore(
                     self.config,
                     &self.clock,
                     self.refresh_period,
@@ -570,25 +573,21 @@ impl Supervisor {
                     &ckpt,
                 )
             });
-        let (detector, cold_start, checkpoint_error) = match restored {
-            Ok(det) => (det, false, None),
+        let (cold_start, checkpoint_error) = match restored {
+            Ok(()) => (false, None),
             Err(e) => {
                 self.stats.checkpoint_rejections =
                     self.stats.checkpoint_rejections.saturating_add(1);
-                (
-                    AnvilDetector::new(
-                        self.config,
-                        &self.clock,
-                        self.refresh_period,
-                        resumed_at,
-                        pmu,
-                    ),
-                    true,
-                    Some(e),
-                )
+                self.detector = AnvilDetector::new(
+                    self.config,
+                    &self.clock,
+                    self.refresh_period,
+                    resumed_at,
+                    pmu,
+                );
+                (true, Some(e))
             }
         };
-        self.detector = detector;
         // Restored detectors boot guarded; the baseline arm must stay
         // unguarded across restarts.
         self.detector.set_state_guard(self.runtime.guard_state);
@@ -1477,8 +1476,9 @@ mod tests {
     fn eager_recovery(bytes: &[u8], crashed_at: Cycle) -> (bool, Option<RuntimeError>) {
         let mut pmu = Pmu::new(SamplerConfig::anvil_default());
         let gap = RuntimeConfig::default().backoff_base;
+        let mut det = AnvilDetector::new(AnvilConfig::hardened(), &CLOCK, PERIOD, 0, &mut pmu);
         match DetectorCheckpoint::from_bytes(bytes).and_then(|c| {
-            AnvilDetector::restore(
+            det.restore(
                 AnvilConfig::hardened(),
                 &CLOCK,
                 PERIOD,
@@ -1487,7 +1487,7 @@ mod tests {
                 &c,
             )
         }) {
-            Ok(_) => (false, None),
+            Ok(()) => (false, None),
             Err(e) => (true, Some(e)),
         }
     }

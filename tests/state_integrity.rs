@@ -199,7 +199,7 @@ impl ScrubTwin {
     /// - 2, 3: one serviced window: stage-1 miss traffic (under or over
     ///   the trip threshold), or a stage-2 window of reads over a few
     ///   rows in two banks, whose samples the ledger absorbs;
-    /// - 4: a checkpoint restored into a fresh detector, resuming the
+    /// - 4: a checkpoint restored over the detector itself, resuming the
     ///   window or (when the downtime swallowed it) restarting stage 1;
     /// - 5: a switch between guarded and unguarded reads.
     ///
@@ -225,15 +225,16 @@ impl ScrubTwin {
                 } else {
                     deadline
                 };
-                self.det = AnvilDetector::restore(
-                    AnvilConfig::hardened(),
-                    &CLOCK,
-                    PERIOD,
-                    now,
-                    &mut self.pmu,
-                    &ckpt,
-                )
-                .expect("the detector's own checkpoint restores");
+                self.det
+                    .restore(
+                        AnvilConfig::hardened(),
+                        &CLOCK,
+                        PERIOD,
+                        now,
+                        &mut self.pmu,
+                        &ckpt,
+                    )
+                    .expect("the detector's own checkpoint restores");
                 self.start = now;
                 None
             }

@@ -136,18 +136,19 @@ records! {
         refresh_sweep, ecc_analysis, victim_radius;
     // 3 s (fleet) to 35-44 s (table3), on a host where table3 read
     // 33-41 s at the previous commit; soak 3.7, table1 11.4,
-    // overhead_breakdown 13.6 and ablation_threshold 16.5 s.
+    // overhead_breakdown 13.6, ablation_threshold 16.5 and resilience
+    // 28.0-31.7 s (event and per-op engines).
     #[ignore = "up to 45 s; run by the CI records job"]
     [parallel, serial_per_op]:
-        soak, ablation_threshold, overhead_breakdown, fleet, table1, table3;
-    // 27 s (resilience) to 251 s (table5, not re-timed). resilience
-    // (26.9 s), ablation_sampling (40.6 s) and fuzz (43.4 s) would fit
-    // the group above; their one-thread checks would add about 110 s to
-    // the CI records job.
+        soak, ablation_threshold, overhead_breakdown, fleet, table1, table3, resilience;
+    // 41 s (ablation_sampling) to 251 s (table5, not re-timed).
+    // ablation_sampling (40.6 s) and fuzz (43.4 s) would fit the group
+    // above; their one-thread checks would add about 85 s to the CI
+    // records job.
     #[ignore = "parallel only; run by the CI records job"]
     [parallel]:
-        resilience, fuzz, ablation_sampling, detection_matrix, figure4, figure3,
-        ablation_bank_check, table4, table5;
+        fuzz, ablation_sampling, detection_matrix, figure4, figure3, ablation_bank_check,
+        table4, table5;
 }
 
 #[test]

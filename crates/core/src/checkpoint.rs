@@ -222,7 +222,7 @@ mod tests {
                 row: anvil_dram::RowId::new(anvil_dram::BankId(3), 100),
                 score: 40_000.5,
                 windows: 7,
-                pids: vec![9, 11],
+                pids: vec![9, 11].into(),
             }],
             resamples: 2,
         }
@@ -298,5 +298,43 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+    /// A checkpoint whose ledger rows carry 0, 1, 2, 3 and 5 pids: none,
+    /// the one or two of every window-model row, and more than a pid
+    /// set holds inline.
+    fn pinned_checkpoint() -> DetectorCheckpoint {
+        DetectorCheckpoint {
+            config_hash: 0x0123_4567_89ab_cdef,
+            ledger: [&[][..], &[7], &[9, 11], &[4, 1, 3], &[5, 0, 8, 2, 6]]
+                .iter()
+                .enumerate()
+                .map(|(i, pids)| LedgerRow {
+                    row: anvil_dram::RowId::new(
+                        anvil_dram::BankId(i as u32 % 3),
+                        100 + 7 * i as u32,
+                    ),
+                    score: 1_000.25 * (i + 1) as f64,
+                    windows: 3 + i as u64,
+                    pids: pids.iter().copied().collect(),
+                })
+                .collect(),
+            ..sample_checkpoint()
+        }
+    }
+
+    /// The checkpoint wire bytes, pinned: the at-rest fault corrupts and
+    /// tears exactly these bytes, so every committed record that replays
+    /// one depends on them. Pid sets encode as JSON arrays of any length.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let ckpt = pinned_checkpoint();
+        let bytes = ckpt.to_bytes();
+        let want = concat!(
+            "e89759e7b3450870\n",
+            r#"{"version":1,"config_hash":81985529216486895,"sampling":true,"armed_filter":"LoadsOnly","deadline":31200000,"stats":{"stage1_windows":12,"threshold_crossings":3,"stage2_windows":0,"detections":0,"selective_refreshes":0,"samples_analyzed":0,"missed_deadlines":0,"worst_deadline_slip":0,"degraded_windows":0,"bank_refreshes":0,"samples_lost":0,"samples_unresolved":0,"carry_crossings":0,"ledger_flags":0,"resample_windows":0,"state_repairs":0,"state_escalations":0},"carry":1234.5,"phase_state":659918,"window_scale":1.07,"pebs_jitter":6840143426475650817,"#,
+            r#""ledger":[{"row":{"bank":[0],"row":100},"score":1000.25,"windows":3,"pids":[]},{"row":{"bank":[1],"row":107},"score":2000.5,"windows":4,"pids":[7]},{"row":{"bank":[2],"row":114},"score":3000.75,"windows":5,"pids":[9,11]},{"row":{"bank":[0],"row":121},"score":4001.0,"windows":6,"pids":[4,1,3]},{"row":{"bank":[1],"row":128},"score":5001.25,"windows":7,"pids":[5,0,8,2,6]}],"resamples":2}"#,
+        );
+        assert_eq!(String::from_utf8(bytes.clone()).unwrap(), want);
+        assert_eq!(DetectorCheckpoint::from_bytes(&bytes).unwrap(), ckpt);
     }
 }

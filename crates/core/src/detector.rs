@@ -840,16 +840,14 @@ impl AnvilDetector {
     /// and config fingerprint cannot have changed since the deferral,
     /// and every quiet boundary stores a sticky-sampling depth of zero.
     ///
-    /// The ledger rows are written into `rows`, reusing its allocations
-    /// (its rows' pid buffers included), with `spare` as in
-    /// [`checkpoint_reusing`](Self::checkpoint_reusing).
+    /// The ledger rows are written into `rows`, reusing its allocation,
+    /// as in [`checkpoint_reusing`](Self::checkpoint_reusing).
     pub fn materialize_quiet_checkpoint(
         &self,
         q: &QuietCheckpoint,
         mut rows: Vec<LedgerRow>,
-        spare: &mut Vec<LedgerRow>,
     ) -> DetectorCheckpoint {
-        self.ledger.rows_into(&mut rows, spare);
+        self.ledger.rows_into(&mut rows);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -1023,25 +1021,17 @@ impl AnvilDetector {
     /// PEBS buffer are volatile hardware state and are deliberately not
     /// captured; the sampler's *programmed* jitter-stream position is.
     pub fn checkpoint(&self, pmu: &Pmu) -> DetectorCheckpoint {
-        self.checkpoint_reusing(pmu, Vec::new(), &mut Vec::new())
+        self.checkpoint_reusing(pmu, Vec::new())
     }
 
     /// [`checkpoint`](Self::checkpoint), writing the ledger rows into
-    /// `rows` and reusing its allocations (its rows' pid buffers
-    /// included) — for a writer that replaces its previous checkpoint
-    /// with each new one, so the write allocates nothing once the buffers
-    /// have grown to the ledger's size.
-    ///
-    /// `spare` is the writer's store of rows between writes: rows the
-    /// ledger no longer fills move there, pid buffers and all, and a
-    /// ledger that has grown takes its extra rows from there first.
-    pub fn checkpoint_reusing(
-        &self,
-        pmu: &Pmu,
-        mut rows: Vec<LedgerRow>,
-        spare: &mut Vec<LedgerRow>,
-    ) -> DetectorCheckpoint {
-        self.ledger.rows_into(&mut rows, spare);
+    /// `rows` and reusing its allocation — for a writer that replaces its
+    /// previous checkpoint with each new one, so the write allocates
+    /// nothing once the buffer has grown to the ledger's size. A row's
+    /// pids are inline ([`PidSet`](crate::PidSet)) unless it has more
+    /// than three.
+    pub fn checkpoint_reusing(&self, pmu: &Pmu, mut rows: Vec<LedgerRow>) -> DetectorCheckpoint {
+        self.ledger.rows_into(&mut rows);
         DetectorCheckpoint {
             version: CHECKPOINT_VERSION,
             config_hash: self.config_fingerprint,
@@ -1060,8 +1050,8 @@ impl AnvilDetector {
 
     /// Restores this detector from a checkpoint, resuming at time `now`.
     /// The detector restored over is typically one that crashed: its
-    /// ledger slots, pid buffers and scratch buffers are reused, and
-    /// nothing else of its state survives.
+    /// ledger slots and scratch buffers are reused, and nothing else of
+    /// its state survives.
     ///
     /// Refuses a checkpoint whose format version or config hash does not
     /// match ([`RuntimeError::VersionMismatch`] /
@@ -1770,7 +1760,7 @@ mod tests {
                 row: RowId::new(BankId(i % 3), 100 + i),
                 score: 1500.0 * f64::from(i + 1),
                 windows: u64::from(i + 2),
-                pids: vec![7, i],
+                pids: vec![7, i].into(),
             })
             .collect();
         let corrupted = || {

@@ -71,6 +71,7 @@ pub mod epoch;
 mod error;
 mod guard;
 mod locality;
+mod pidset;
 mod platform;
 pub mod transition;
 
@@ -85,6 +86,7 @@ pub use locality::{
     analyze, analyze_with_ledger, AggressorFinding, LedgerRow, LocalityReport, RowSample,
     SuspicionLedger, FULL_WEIGHT,
 };
+pub use pidset::{PidSet, INLINE_PIDS};
 pub use platform::{
     CoreStats, DetectionEvent, Platform, PlatformConfig, ResponsePolicy, SCRUB_SLICES,
 };

@@ -11,6 +11,7 @@
 
 use crate::config::AnvilConfig;
 use crate::guard::{GuardedCell, GuardedValue, StateCorruption, StateSite};
+use crate::pidset::PidSet;
 use anvil_dram::{BankId, Cycle, RowId};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -104,11 +105,12 @@ impl LocalityReport {
 /// so finding where a fresh row falls compares integers without loading
 /// the slot. Score cells sit in one slot-indexed array apart from the
 /// window counts and pids, so a window's decay of the entries without
-/// fresh evidence is a tight walk over `order` and the scores; only the
-/// fresh rows touch the rest of their slot. A pruned entry's slot, pid
-/// buffer included, is reused by the next new row. Checkpoint rows are
-/// written over the previous checkpoint's (`rows_into`), with surplus
-/// rows kept in a spare list the writer owns for the next write.
+/// fresh evidence is a tight walk over `order` and the scores, the same
+/// walk that finds where each fresh row falls; only the fresh rows touch
+/// the rest of their slot. A pruned entry's slot is reused by the next
+/// new row. Pids are a [`PidSet`], inline up to three, so an entry and a
+/// checkpoint row are plain data: checkpoint rows are written over the
+/// previous checkpoint's `Vec` (`rows_into`) with no heap buffer per row.
 #[derive(Debug, Clone)]
 pub struct SuspicionLedger {
     /// Score cells by slot. Only the slots `order` names are live; the
@@ -175,7 +177,7 @@ struct LedgerEntry {
     /// Distinct stage-2 windows that contributed evidence.
     windows: GuardedCell<u64>,
     /// Processes whose samples contributed, in first-seen order.
-    pids: Vec<u32>,
+    pids: PidSet,
 }
 
 /// Packs a row id into the stable `u64` key [`StateSite`] uses, so
@@ -199,21 +201,6 @@ fn read_cell<T: GuardedValue>(guarded: bool, cell: &GuardedCell<T>) -> T {
     }
 }
 
-/// Copies a row's pids into `out` (cleared first). A ledger row carries
-/// one or two pids, which are pushed directly rather than through a
-/// general slice copy.
-fn copy_pids(out: &mut Vec<u32>, pids: &[u32]) {
-    out.clear();
-    match *pids {
-        [a] => out.push(a),
-        [a, b] => {
-            out.push(a);
-            out.push(b);
-        }
-        _ => out.extend_from_slice(pids),
-    }
-}
-
 /// One ledger entry in serializable form (detector checkpoints).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LedgerRow {
@@ -223,8 +210,8 @@ pub struct LedgerRow {
     pub score: f64,
     /// Distinct stage-2 windows that contributed evidence.
     pub windows: u64,
-    /// Processes whose samples contributed.
-    pub pids: Vec<u32>,
+    /// Processes whose samples contributed, in first-seen order.
+    pub pids: PidSet,
 }
 
 /// Ledger scores below this are pruned (the row has decayed to noise).
@@ -282,12 +269,12 @@ impl SuspicionLedger {
     /// entries first, then fresh rows, each in row order. While no cell
     /// may be sealed the scrubs would find nothing, and are skipped.
     ///
-    /// The entries below each fresh row's key are decayed as one run over
-    /// `order` and the score array; then the fresh row is folded in, into
-    /// its entry's slot or a new one. A pruned entry frees its slot. Only
-    /// the row-ordered list is rebuilt, into the spare buffer's
-    /// allocation, so once the buffers have grown to the ledger's size a
-    /// window moves no entry and allocates nothing.
+    /// One walk over `order` decays each entry below a fresh row's key
+    /// and stops at the row's own entry, if it has one; then the fresh
+    /// row is folded in, into that entry's slot or a new one. A pruned
+    /// entry frees its slot. Only the row-ordered list is rebuilt, into
+    /// the spare buffer's allocation, so once the buffers have grown to
+    /// the ledger's size a window moves no entry and allocates nothing.
     fn absorb(
         &mut self,
         decay: f64,
@@ -302,21 +289,21 @@ impl SuspicionLedger {
             self.may_be_sealed = false;
         }
         let old = std::mem::replace(&mut self.order, std::mem::take(&mut self.spare));
-        let mut rest = &old[..];
+        let mut next = 0;
         for g in fresh {
             let key = site_key(g.row);
-            let run = rest
-                .iter()
-                .position(|&(k, _)| k >= key)
-                .unwrap_or(rest.len());
-            self.decay_run(decay, &rest[..run]);
-            rest = &rest[run..];
-            let slot = match rest.first() {
-                Some(&(k, slot)) if k == key => {
-                    rest = &rest[1..];
-                    slot
+            let slot = loop {
+                match old.get(next) {
+                    Some(&(k, slot)) if k < key => {
+                        self.decay(decay, k, slot);
+                        next += 1;
+                    }
+                    Some(&(k, slot)) if k == key => {
+                        next += 1;
+                        break slot;
+                    }
+                    _ => break self.new_slot(),
                 }
-                _ => self.new_slot(),
             };
             let cell = &mut self.scores[slot];
             let score = crate::transition::ledger_step(decay, cell.raw(), g.rate);
@@ -329,14 +316,14 @@ impl SuspicionLedger {
             let windows = e.windows.raw().saturating_add(1);
             e.windows.store(windows);
             for &pid in &pid_pool[g.pids.clone()] {
-                if !e.pids.contains(&pid) {
-                    e.pids.push(pid);
-                }
+                e.pids.insert(pid);
             }
             convict(g, score, windows, &e.pids);
             self.order.push((key, slot));
         }
-        self.decay_run(decay, rest);
+        for &(key, slot) in &old[next..] {
+            self.decay(decay, key, slot);
+        }
         self.spare = old;
         self.spare.clear();
     }
@@ -365,18 +352,16 @@ impl SuspicionLedger {
         self.pending.append(&mut fresh_reports);
     }
 
-    /// Decays a run of entries without fresh evidence, appending the
-    /// survivors to `order` and freeing the slots of the pruned.
-    fn decay_run(&mut self, decay: f64, run: &[(u64, usize)]) {
-        for &(key, slot) in run {
-            let cell = &mut self.scores[slot];
-            let score = crate::transition::ledger_step(decay, cell.raw(), 0.0);
-            cell.store(score);
-            if prunes(score) {
-                self.free.push(slot);
-            } else {
-                self.order.push((key, slot));
-            }
+    /// Decays an entry without fresh evidence, appending it to `order`
+    /// if it survives and freeing its slot if it is pruned.
+    fn decay(&mut self, decay: f64, key: u64, slot: usize) {
+        let cell = &mut self.scores[slot];
+        let score = crate::transition::ledger_step(decay, cell.raw(), 0.0);
+        cell.store(score);
+        if prunes(score) {
+            self.free.push(slot);
+        } else {
+            self.order.push((key, slot));
         }
     }
 
@@ -393,7 +378,7 @@ impl SuspicionLedger {
             self.scores.push(GuardedCell::new(0.0));
             self.slots.push(LedgerEntry {
                 windows: GuardedCell::new(0),
-                pids: Vec::new(),
+                pids: PidSet::new(),
             });
             self.slots.len() - 1
         }
@@ -402,37 +387,22 @@ impl SuspicionLedger {
     /// Snapshots the ledger as serializable rows (checkpointing).
     pub fn to_rows(&self) -> Vec<LedgerRow> {
         let mut rows = Vec::new();
-        self.rows_into(&mut rows, &mut Vec::new());
+        self.rows_into(&mut rows);
         rows
     }
 
-    /// [`to_rows`](Self::to_rows) into `rows`, overwriting its contents
-    /// and reusing its allocations (the rows' pid buffers included), so a
-    /// checkpoint written over the previous one allocates nothing once
-    /// the buffers have grown to the ledger's size.
-    ///
-    /// `spare` holds rows kept between writes: rows beyond the ledger's
-    /// length move there, pid buffers and all, and a longer ledger takes
-    /// its extra rows from there before allocating new ones. Whatever
-    /// `rows` and `spare` hold on entry, `rows` ends equal to
-    /// [`to_rows`](Self::to_rows).
-    pub(crate) fn rows_into(&self, rows: &mut Vec<LedgerRow>, spare: &mut Vec<LedgerRow>) {
-        let n = self.len();
-        spare.extend(rows.drain(n.min(rows.len())..));
-        while rows.len() < n {
-            rows.push(spare.pop().unwrap_or_else(|| LedgerRow {
-                row: RowId::new(BankId(0), 0),
-                score: 0.0,
-                windows: 0,
-                pids: Vec::new(),
-            }));
-        }
-        for (out, (key, score, e)) in rows.iter_mut().zip(self.entries()) {
-            out.row = key_row(key);
-            out.score = read_cell(self.guarded, score);
-            out.windows = read_cell(self.guarded, &e.windows);
-            copy_pids(&mut out.pids, &e.pids);
-        }
+    /// [`to_rows`](Self::to_rows) into `rows`, replacing its contents in
+    /// its allocation, so a checkpoint written over the previous one
+    /// allocates nothing once the buffer has grown to the ledger's size
+    /// (a row's pids are inline unless it has more than three).
+    pub(crate) fn rows_into(&self, rows: &mut Vec<LedgerRow>) {
+        rows.clear();
+        rows.extend(self.entries().map(|(key, score, e)| LedgerRow {
+            row: key_row(key),
+            score: read_cell(self.guarded, score),
+            windows: read_cell(self.guarded, &e.windows),
+            pids: e.pids.clone(),
+        }));
     }
 
     /// Rebuilds a ledger from checkpointed rows (inverse of
@@ -445,11 +415,11 @@ impl SuspicionLedger {
     }
 
     /// Replaces the ledger's entries with checkpointed `rows`, reusing
-    /// its slots and their pid buffers, so a detector restored over a
-    /// crashed one allocates only for rows beyond the crashed ledger's
-    /// slots. A row listed twice keeps its last listing. Runtime state
-    /// resets as in a new ledger: guarded reads, no pending corruption
-    /// reports, nothing possibly sealed.
+    /// its slots, so a detector restored over a crashed one allocates
+    /// only for rows beyond the crashed ledger's slots. A row listed
+    /// twice keeps its last listing. Runtime state resets as in a new
+    /// ledger: guarded reads, no pending corruption reports, nothing
+    /// possibly sealed.
     pub(crate) fn restore_rows(&mut self, rows: &[LedgerRow]) {
         self.order.clear();
         self.free.clear();
@@ -460,7 +430,7 @@ impl SuspicionLedger {
             if let Some(e) = self.slots.get_mut(slot) {
                 self.scores[slot].store(r.score);
                 e.windows.store(r.windows);
-                copy_pids(&mut e.pids, &r.pids);
+                e.pids.clone_from(&r.pids);
             } else {
                 self.scores.push(GuardedCell::new(r.score));
                 self.slots.push(LedgerEntry {
@@ -1107,7 +1077,7 @@ mod tests {
             row,
             score: 1e9,
             windows: u64::MAX,
-            pids: vec![42],
+            pids: vec![42].into(),
         }]);
         let config = AnvilConfig::hardened();
         let _ = analyze_with_ledger(
@@ -1139,6 +1109,72 @@ mod tests {
         let rows = ledger.to_rows();
         let restored = SuspicionLedger::from_rows(&rows);
         assert_eq!(restored, ledger);
+    }
+
+    /// The ledger's steady-state budget: over 2,000 fleet-shaped windows
+    /// (34 samples on 27 rows: three that recur every window, four more
+    /// sampled twice and 20 sampled once, nearly all new, each from one
+    /// or two pids), the ledger's buffers stop growing once warm and no
+    /// pid set leaves its inline room, so a window allocates nothing in
+    /// the ledger. The ledger holds about 260 live entries, near a fleet
+    /// machine's 240.
+    #[test]
+    fn fleet_shaped_windows_settle_into_fixed_buffers() {
+        let config = AnvilConfig::hardened();
+        let mut scratch = LocalityScratch::default();
+        let mut ledger = SuspicionLedger::new();
+        let capacities = |l: &SuspicionLedger| {
+            [
+                l.scores.capacity(),
+                l.slots.capacity(),
+                l.order.capacity(),
+                l.free.capacity(),
+                l.spare.capacity(),
+            ]
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut warm, mut live) = (None, 0);
+        for window in 0..2_000 {
+            let samples = scratch.clear_samples();
+            for i in 0..27u32 {
+                let r = next();
+                let (row, pids) = if i < 3 {
+                    (RowId::new(BankId(i), 7 + i), [40 + i, 40 + i])
+                } else {
+                    let row = RowId::new(BankId(r as u32 % 8), (r >> 8) as u32 % (1 << 15));
+                    (row, [1 + (r >> 32) as u32 % 2, 1 + (r >> 40) as u32 % 2])
+                };
+                let sample = |pid| RowSample {
+                    row,
+                    paddr: 0,
+                    pid,
+                    weight: FULL_WEIGHT,
+                };
+                samples.push(sample(pids[0]));
+                if i < 7 {
+                    samples.push(sample(pids[1]));
+                }
+            }
+            let misses = 2_000 + next() % 4_000;
+            let report =
+                analyze_window(&config, &mut scratch, misses, TS, PERIOD, Some(&mut ledger));
+            assert!(!report.detected());
+            if window == 500 {
+                warm = Some(capacities(&ledger));
+            } else if window > 500 {
+                assert_eq!(Some(capacities(&ledger)), warm, "window {window}");
+                live += ledger.len();
+            }
+            assert!(ledger.slots.iter().all(|e| !e.pids.spilled()));
+        }
+        let mean = live / 1_499;
+        assert!((200..400).contains(&mean), "{mean} live entries");
     }
 
     #[test]
@@ -1310,7 +1346,7 @@ mod oracle {
                     row,
                     score: read_cell(self.guarded, &e.score),
                     windows: read_cell(self.guarded, &e.windows),
-                    pids: e.pids.clone(),
+                    pids: e.pids.clone().into(),
                 })
                 .collect()
         }
@@ -1446,7 +1482,7 @@ mod oracle {
     /// unguarded corruption) compare by value.
     fn row_bits(rows: &[LedgerRow]) -> Vec<(RowId, u64, u64, Vec<u32>)> {
         rows.iter()
-            .map(|r| (r.row, r.score.to_bits(), r.windows, r.pids.clone()))
+            .map(|r| (r.row, r.score.to_bits(), r.windows, r.pids.to_vec()))
             .collect()
     }
 
@@ -1628,7 +1664,7 @@ mod oracle {
         Vec<Sample>,
         u64,
         Vec<(usize, u8, u8)>,
-        (Vec<(u64, u64, u64)>, Vec<Stale>, Vec<Stale>),
+        (Vec<(u64, u64, u64)>, Vec<Stale>),
     );
 
     fn stale_rows(raw: &[Stale]) -> impl Iterator<Item = LedgerRow> + '_ {
@@ -1667,7 +1703,7 @@ mod oracle {
                 row: RowId::new(BankId(1), i as u32),
                 score,
                 windows: 3,
-                pids: vec![1],
+                pids: vec![1].into(),
             })
             .collect();
         let mut ledger = SuspicionLedger::from_rows(&rows);
@@ -1682,7 +1718,7 @@ mod oracle {
                 RefEntry {
                     score: GuardedCell::new(r.score),
                     windows: GuardedCell::new(r.windows),
-                    pids: r.pids.clone(),
+                    pids: r.pids.to_vec(),
                 },
             );
         }
@@ -1701,8 +1737,9 @@ mod oracle {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Over several windows of random samples (rows, banks, pids,
-        /// weights, empty and zero-weight windows, zero-miss windows) with
+        /// Over several windows of random samples (rows, banks, up to
+        /// eight pids, more than a pid set holds inline, weights, empty
+        /// and zero-weight windows, zero-miss windows) with
         /// ledger cells corrupted by index and slice-scrubbed between
         /// windows, the reports, the ledger rows (pid order included) and
         /// the corruption sequence all match the reference, guarded and
@@ -1711,22 +1748,22 @@ mod oracle {
         /// while nothing may be sealed and strides over congruent cells,
         /// for moduli from 0 up and at or just below `u64::MAX`.
         ///
-        /// Checkpoint rows are written each window into buffers kept
-        /// across windows, as a checkpoint writer keeps them, after stale
-        /// rows of random length and contents are pushed onto both the
-        /// rows and the spare list: the rows written equal `to_rows()`,
-        /// and no row (with its pid buffer) is lost between the two.
+        /// Checkpoint rows are written each window into a buffer kept
+        /// across windows, as a checkpoint writer keeps it, after stale
+        /// rows of random length and contents (up to seven pids) are
+        /// pushed onto it: the rows written equal `to_rows()`, and a
+        /// row's pids are on the heap only when they outgrow the inline
+        /// room.
         #[test]
         fn analysis_and_ledger_match_the_map_based_reference(
             windows in prop::collection::vec(
                 (
-                    prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                    prop::collection::vec((0u32..4, 0u32..10, 0u32..8, 0u8..5), 0..40),
                     0u64..400_000,
                     prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
                     (
                         prop::collection::vec((0u64..9, 0u64..18, 0u64..7), 0..3),
-                        prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..6),
-                        prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..6),
+                        prop::collection::vec((0u32..4, 0u32..10, 0u8..8), 0..6),
                     ),
                 ),
                 1..10,
@@ -1741,9 +1778,9 @@ mod oracle {
                 guarded,
                 pending: Vec::new(),
             };
-            let (mut rows, mut spare) = (Vec::new(), Vec::new());
+            let mut rows = Vec::new();
             let windows: &[Window] = &windows;
-            for (raw, misses, hits, (scrubs, stale, stale_spare)) in windows {
+            for (raw, misses, hits, (scrubs, stale)) in windows {
                 // One window in twenty carries no misses.
                 let misses = if *misses < 20_000 { 0 } else { *misses };
                 let samples = to_samples(raw);
@@ -1757,11 +1794,11 @@ mod oracle {
                 prop_assert_eq!(row_bits(&ledger.to_rows()), row_bits(&reference.to_rows()));
                 prop_assert_eq!(ledger.take_corruptions(), std::mem::take(&mut reference.pending));
                 rows.extend(stale_rows(stale));
-                spare.extend(stale_rows(stale_spare));
-                let held = rows.len() + spare.len();
-                ledger.rows_into(&mut rows, &mut spare);
+                ledger.rows_into(&mut rows);
                 prop_assert_eq!(row_bits(&rows), row_bits(&reference.to_rows()));
-                prop_assert_eq!(rows.len() + spare.len(), held.max(ledger.len()));
+                for r in &rows {
+                    prop_assert_eq!(r.pids.spilled(), r.pids.len() > crate::INLINE_PIDS);
+                }
                 for &(cell, mask, bit) in hits {
                     let cells = ledger.cell_count();
                     if cells > 0 {
@@ -1788,13 +1825,13 @@ mod oracle {
         #[test]
         fn restoring_over_a_used_ledger_matches_a_map_based_restore(
             before in prop::collection::vec(
-                prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                prop::collection::vec((0u32..4, 0u32..10, 0u32..8, 0u8..5), 0..40),
                 0..4,
             ),
             hits in prop::collection::vec((0usize..64, 0u8..8, 0u8..128), 0..3),
-            rows in prop::collection::vec((0u32..4, 0u32..10, 0u8..4), 0..12),
+            rows in prop::collection::vec((0u32..4, 0u32..10, 0u8..8), 0..12),
             after in prop::collection::vec(
-                prop::collection::vec((0u32..4, 0u32..10, 0u32..5, 0u8..5), 0..40),
+                prop::collection::vec((0u32..4, 0u32..10, 0u32..8, 0u8..5), 0..40),
                 1..4,
             ),
             guarded in any::<bool>(),
@@ -1827,7 +1864,7 @@ mod oracle {
                     RefEntry {
                         score: GuardedCell::new(r.score),
                         windows: GuardedCell::new(r.windows),
-                        pids: r.pids.clone(),
+                        pids: r.pids.to_vec(),
                     },
                 );
             }

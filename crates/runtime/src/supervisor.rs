@@ -219,10 +219,6 @@ pub struct Supervisor {
     /// restart reads back, so at-rest corruption is visible to recovery
     /// exactly once.
     checkpoint: Option<StoredCheckpoint>,
-    /// Ledger rows no checkpoint currently fills, pid buffers and all:
-    /// a write over a longer ledger leaves its surplus here and a write
-    /// over a shorter one takes from here before allocating.
-    spare_rows: Vec<anvil_core::LedgerRow>,
     pending_reload: Option<HashedConfig>,
     faults: Option<LifecycleInjector>,
     stats: RuntimeStats,
@@ -278,7 +274,6 @@ impl Supervisor {
             refresh_period,
             detector,
             checkpoint: None,
-            spare_rows: Vec::new(),
             pending_reload: None,
             faults: None,
             stats: RuntimeStats::default(),
@@ -494,9 +489,7 @@ impl Supervisor {
         if let Some((q, fault)) = self.deferred_checkpoint.take() {
             let rows = self.take_checkpoint_rows();
             self.checkpoint = Some(StoredCheckpoint {
-                ckpt: self
-                    .detector
-                    .materialize_quiet_checkpoint(&q, rows, &mut self.spare_rows),
+                ckpt: self.detector.materialize_quiet_checkpoint(&q, rows),
                 fault,
             });
         }
@@ -719,17 +712,14 @@ impl Supervisor {
     /// at-rest fault the write draws (see [`StoredCheckpoint`]).
     fn write_checkpoint(&mut self, pmu: &Pmu) {
         let rows = self.take_checkpoint_rows();
-        let ckpt = self
-            .detector
-            .checkpoint_reusing(pmu, rows, &mut self.spare_rows);
+        let ckpt = self.detector.checkpoint_reusing(pmu, rows);
         let fault = self.draw_at_rest_fault();
         self.checkpoint = Some(StoredCheckpoint { ckpt, fault });
         self.services_since_checkpoint = 0;
     }
 
     /// The ledger rows of the stored checkpoint a write is about to
-    /// replace, for the new snapshot to overwrite in place (with
-    /// `spare_rows` making up or keeping the difference in length).
+    /// replace, for the new snapshot to overwrite in place.
     fn take_checkpoint_rows(&mut self) -> Vec<anvil_core::LedgerRow> {
         self.checkpoint
             .take()

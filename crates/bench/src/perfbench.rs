@@ -14,7 +14,9 @@
 //! Unlike the campaign records, this file is a *measurement*: it varies
 //! with the machine and is regenerated, not byte-compared. Each run
 //! appends an entry, stamped with `--git-sha <sha>` and `--stamp <date>`
-//! when given, to the committed `trajectory` array. The gate fails below
+//! when given, to the committed `trajectory` array. The entry carries
+//! the host's speed at the time ([`host_probe_ms`]), since a shared host
+//! drifts between fast and slow spells within minutes. The gate fails below
 //! the absolute floor (`FLOOR_WINDOWS_PER_SEC`) or below
 //! `REGRESSION_FRACTION` of the last committed entry (DESIGN.md §11).
 //!
@@ -126,6 +128,35 @@ fn soak_windows_per_sec(
     total as f64 / elapsed
 }
 
+/// Runs of [`host_probe_ms`]'s loop it takes the fastest of.
+const HOST_PROBE_RUNS: usize = 5;
+
+/// Milliseconds of the fastest of [`HOST_PROBE_RUNS`] runs of a fixed
+/// loop that uses none of the simulator's code: xorshift draws steering
+/// read-modify-writes through an 8 KiB table that stays in L1 (the loop
+/// of simbench's `probe_s`). It tracks how fast the shared host's core is
+/// running, so a trajectory entry can be read against the host's speed
+/// at the time: a slower probe means a slower host, not slower code.
+pub fn host_probe_ms() -> f64 {
+    (0..HOST_PROBE_RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut table = [0u64; 1 << 10];
+            let (mut x, mut idx) = (0x9E37_79B9_7F4A_7C15u64, 0usize);
+            for i in 0..2_000_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                idx =
+                    (idx + (x as usize & 0xfff) * 8 + table[idx] as usize % 64) & (table.len() - 1);
+                table[idx] = table[idx].wrapping_add(if x & 1 == 0 { i } else { x >> 3 });
+            }
+            black_box(&table);
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Loads the `trajectory` array from the previously committed
 /// `results/BENCH_hotpath.json`, if any — the new run appends to it.
 fn committed_trajectory() -> Vec<serde_json::Value> {
@@ -216,6 +247,8 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
     // trip-heavy regime where the fallback path dominates. Benign cells
     // are ~20x cheaper per window, so they run more windows to keep the
     // measurement interval meaningful.
+    let probe_ms = host_probe_ms();
+    eprintln!("perfbench: fastest host probe {probe_ms:.3} ms");
     let windows = if args.quick { 20_000 } else { 120_000 };
     let benign_windows = windows * 10;
     let cells = args.threads.max(2);
@@ -248,6 +281,7 @@ pub fn run(args: &CampaignArgs, git_sha: &str, stamp: &str) -> Report {
         "engine": "event",
         "serial_windows_per_sec": round1(serial),
         "parallel_windows_per_sec": round1(parallel),
+        "host_probe_ms": (probe_ms * 1e3).round() / 1e3,
     }));
 
     let record = json!({

@@ -82,7 +82,9 @@ pub fn config_hash(config: &crate::AnvilConfig) -> u64 {
 /// computed once.
 ///
 /// The hash serializes the config, which costs more than building the
-/// detector it parameterizes. A caller that builds detectors from one
+/// detector it parameterizes: about 3.2 µs against 0.11–0.14 µs on a
+/// 2-vCPU Xeon VM, most of it FNV over the encoding's roughly 700 bytes
+/// and formatting its floats. A caller that builds detectors from one
 /// config again and again — a supervisor restoring after every crash —
 /// hashes it once and passes this; a bare `AnvilConfig` converts (and is
 /// hashed) on the way in.
@@ -282,6 +284,20 @@ mod tests {
             let json = serde_json::to_string(&config).unwrap();
             assert_eq!(config_hash(&config), fnv1a64(json.as_bytes()));
         }
+    }
+
+    /// The hash's decimal digits are checkpoint bytes that the at-rest
+    /// fault flips, so a writer change that moved a hash would move
+    /// records. Values taken before the writer escaped by runs.
+    #[test]
+    fn config_hashes_are_pinned() {
+        assert_eq!(config_hash(&AnvilConfig::baseline()), 0xef16_850a_1a23_9235);
+        assert_eq!(config_hash(&AnvilConfig::hardened()), 0xa5b6_77ef_39dd_2e3a);
+        // Domain 0 of machine 0 of the fleet seeded 0xF1EE7, as a fleet
+        // domain boots it.
+        let mut domain = AnvilConfig::hardened();
+        domain.hardening.phase_seed = anvil_mem::domain_seed(0xF1EE7, 0, anvil_mem::DomainId(0));
+        assert_eq!(config_hash(&domain), 0xca77_34b4_4f0e_a431);
     }
 
     #[test]

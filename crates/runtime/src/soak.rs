@@ -370,4 +370,24 @@ mod tests {
         assert!(!s.within_budget);
         assert!(!s.holds());
     }
+
+    #[test]
+    fn absent_adversary_decodes_as_the_paced_adversary() {
+        let config = SoakConfig::benign(100, 7);
+        assert!(!config.adversary);
+        let serde_json::Value::Object(mut entries) = serde_json::to_value(&config) else {
+            panic!("a SoakConfig encodes as an object");
+        };
+        entries.retain(|(k, _)| k != "adversary");
+        let decoded: SoakConfig =
+            serde::Deserialize::from_value(&serde_json::Value::Object(entries))
+                .expect("an absent defaulted field still decodes");
+        assert_eq!(
+            decoded,
+            SoakConfig {
+                adversary: true,
+                ..config
+            }
+        );
+    }
 }

@@ -1561,4 +1561,48 @@ mod tests {
         assert_eq!(sup.stats().stalled_services, 1);
         assert_eq!(sup.detector().stats().missed_deadlines, 1);
     }
+
+    /// `config` encoded, then decoded with `field` removed.
+    fn decode_without(config: &RuntimeConfig, field: &str) -> RuntimeConfig {
+        let serde_json::Value::Object(mut entries) = serde_json::to_value(config) else {
+            panic!("a RuntimeConfig encodes as an object");
+        };
+        entries.retain(|(k, _)| k != field);
+        serde::Deserialize::from_value(&serde_json::Value::Object(entries))
+            .expect("an absent defaulted field still decodes")
+    }
+
+    #[test]
+    fn absent_scrub_slices_decodes_as_four() {
+        let config = RuntimeConfig {
+            scrub_slices: 9,
+            ..RuntimeConfig::default()
+        };
+        let decoded = decode_without(&config, "scrub_slices");
+        assert_eq!(decoded.scrub_slices, 4);
+        assert_eq!(
+            decoded,
+            RuntimeConfig {
+                scrub_slices: 4,
+                ..config
+            }
+        );
+    }
+
+    #[test]
+    fn absent_guard_state_decodes_as_guarded() {
+        let config = RuntimeConfig {
+            guard_state: false,
+            ..RuntimeConfig::default()
+        };
+        let decoded = decode_without(&config, "guard_state");
+        assert!(decoded.guard_state);
+        assert_eq!(
+            decoded,
+            RuntimeConfig {
+                guard_state: true,
+                ..config
+            }
+        );
+    }
 }

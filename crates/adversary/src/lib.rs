@@ -20,46 +20,33 @@
 //! * [`DistributedManySided`] — spreads activations across many
 //!   aggressor pairs in distinct banks so no row dominates the sample
 //!   histogram.
-//! * [`RestartAwareHammer`] — paces politely while the detector is up
-//!   and hammers flat out inside known detector downtime gaps (crash
-//!   recovery windows); the `soak` campaign in `anvil-bench` charges its
-//!   gap bursts against every injected restart.
-//! * [`CrossDomainHammer`] — the fleet campaign's window-granular
-//!   attacker model: rotates paced pressure over every non-quarantined
-//!   protection domain on the machine and bursts full-rate into any
-//!   downtime gap or PMU-blind episode a domain exposes.
-//! * [`StateTargetingHammer`] — hammers the *detector's own* DRAM rows
-//!   (carry accumulators, ledger, replicas), locking onto whichever row
-//!   the incremental scrub has neglected longest and bursting full-rate
-//!   into scrub gaps; the `selfdefense` campaign in `anvil-bench` drives
-//!   it against guarded and unguarded state.
+//! * [`RestartAwareHammer`] — the window-granular attacker: paces just
+//!   under the stage-1 trip rate, rotates round-robin over the eligible
+//!   targets, and bursts flat out into detector downtime gaps and
+//!   PMU-blind windows. It is not an op stream: it states its pressure
+//!   directly as activations per detector window, which the `soak`,
+//!   `fleet` and `selfdefense` campaigns in `anvil-bench` charge against
+//!   protection domains and the detector's own state rows.
 //!
-//! The first five implement [`anvil_attacks::Attack`], so they run under
+//! The first four implement [`anvil_attacks::Attack`], so they run under
 //! the platform in `anvil-core` exactly like the paper's attacks; the
 //! `evasion` campaign in `anvil-bench` crosses them with the baseline
-//! and hardened detector configurations. [`CrossDomainHammer`] and
-//! [`StateTargetingHammer`] are not op streams: they state their pressure
-//! directly as activations per detector window, which the window-granular
-//! `fleet` and `selfdefense` campaigns consume.
+//! and hardened detector configurations.
 
 mod camouflage;
 mod common;
-mod cross_domain;
 mod distributed;
 mod duty_cycle;
 mod paced;
 mod restart_aware;
 mod spec;
-mod state_targeting;
 
 pub use camouflage::CamouflageHammer;
-pub use cross_domain::CrossDomainHammer;
 pub use distributed::DistributedManySided;
 pub use duty_cycle::DutyCycleHammer;
 pub use paced::PacedHammer;
 pub use restart_aware::RestartAwareHammer;
 pub use spec::ArchetypeSpec;
-pub use state_targeting::StateTargetingHammer;
 
 /// Estimated core cycles per aggressor access in the hammer loop: a
 /// row-conflict DRAM read (~179 cycles on the simulated platform), the

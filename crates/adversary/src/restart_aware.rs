@@ -1,13 +1,20 @@
-//! Restart-aware hammering: full-rate bursts timed into detector
-//! downtime.
+//! Restart-aware hammering: the window-granular attacker the soak,
+//! fleet and selfdefense campaigns charge against.
+//!
+//! The fleet setting (inter-VM Rowhammer, Kawasaki & Akiyama) puts one
+//! attacker VM beside many independently protected domains, free to pick
+//! its target each window. The selfdefense setting points the same
+//! attacker at the detector's own state rows. Both, and the soak
+//! campaign, share one model: paced pressure just under the stage-1 trip
+//! rate while a detector is watching, rotated round-robin over whatever
+//! targets are eligible, and full-rate bursts into every stretch nobody
+//! counts.
 
-use crate::common::{pair_iteration, push_idle, templated_pairs, victim_paddr, MB};
-use crate::{EST_ATTACK_ACCESS_CYCLES, EST_STAGE1_WINDOW_CYCLES};
-use anvil_attacks::{AggressorPair, Attack, AttackEnv, AttackError, AttackOp};
+use crate::EST_ATTACK_ACCESS_CYCLES;
 
 /// Double-sided hammering that paces politely below the stage-1 trip
 /// rate while the detector is watching, then hammers flat out inside
-/// every known detector downtime gap.
+/// every detector downtime gap or PMU-blind window.
 ///
 /// A supervised detector that crashes and restarts is blind between the
 /// crash and the restore — exactly the gap an attacker who can observe
@@ -22,86 +29,66 @@ use anvil_attacks::{AggressorPair, Attack, AttackEnv, AttackError, AttackOp};
 /// restart backoff must stay under the guarantee envelope's downtime
 /// budget.
 ///
-/// The gap schedule is supplied by the harness (which knows when it will
-/// inject crashes): pairs of `(start, duration)` in cycles from attack
-/// start, non-overlapping and sorted.
-#[derive(Debug)]
+/// The attacker is evaluated at window granularity: a campaign asks, for
+/// each window, which target the attacker pressures and with how many
+/// aggressor activations, then charges those activations against the
+/// target's detector evidence and weak-cell thresholds. Targeting is a
+/// pure function of the window index and the eligibility mask, so a
+/// campaign cell replays byte-for-byte regardless of thread schedule.
+#[derive(Debug, Clone)]
 pub struct RestartAwareHammer {
-    arena_bytes: u64,
-    window_cycles: u64,
-    paced_misses: u64,
-    gaps: Vec<(u64, u64)>,
-    prepared: Option<Prepared>,
-}
-
-#[derive(Debug)]
-struct Prepared {
-    ops: Vec<AttackOp>,
-    loop_start: usize,
-    cursor: usize,
-    aggressors: Vec<u64>,
-    victims: Vec<u64>,
+    paced_activations: u64,
 }
 
 impl RestartAwareHammer {
-    /// Creates the attack with the paper-baseline window, a paced rate
-    /// of 19.5K misses per window (just under the 20K threshold), and an
-    /// empty gap schedule.
+    /// Paces just under the baseline stage-1 trip rate: 19.5K
+    /// activations per 6 ms window against the 20K-miss threshold.
+    #[must_use]
     pub fn new() -> Self {
         RestartAwareHammer {
-            arena_bytes: 8 * MB,
-            window_cycles: EST_STAGE1_WINDOW_CYCLES,
-            paced_misses: 19_500,
-            gaps: Vec::new(),
-            prepared: None,
+            paced_activations: 19_500,
         }
     }
 
-    /// Sets the downtime schedule: `(start, duration)` pairs in cycles
-    /// from attack start, sorted and non-overlapping.
+    /// Overrides the paced per-window activation budget.
     #[must_use]
-    pub fn with_gaps(mut self, gaps: Vec<(u64, u64)>) -> Self {
-        self.gaps = gaps;
+    pub fn with_paced_activations(mut self, activations: u64) -> Self {
+        self.paced_activations = activations.max(1);
         self
     }
 
-    /// Overrides the assumed stage-1 window length (in cycles).
+    /// The paced per-window activation budget against the target.
     #[must_use]
-    pub fn with_window_cycles(mut self, cycles: u64) -> Self {
-        self.window_cycles = cycles.max(1);
-        self
+    pub fn paced_activations(&self) -> u64 {
+        self.paced_activations
     }
 
-    /// Overrides the paced per-window miss budget used while the
-    /// detector is up.
+    /// The target pressured at `window` given the eligibility mask
+    /// (`eligible[i]` is false for a quarantined or outaged domain), or
+    /// `None` when nothing is attackable. Round-robin over the eligible
+    /// set: the `window mod k`-th eligible target of `k`.
     #[must_use]
-    pub fn with_paced_misses(mut self, misses: u64) -> Self {
-        self.paced_misses = misses.max(2);
-        self
-    }
-
-    /// Aggressor-pair activations a full-rate burst lands inside a
-    /// downtime gap of `gap` cycles: the number the recovery protocol
-    /// must assume accumulated while nobody was counting.
-    pub fn burst_activations(gap: u64) -> u64 {
-        gap / EST_ATTACK_ACCESS_CYCLES
-    }
-
-    /// Emits pair iterations pacing `misses` misses evenly over `span`
-    /// cycles.
-    fn push_paced(&self, ops: &mut Vec<AttackOp>, pair: &AggressorPair, span: u64) {
-        let pairs = (self.paced_misses / 2).max(1);
-        let misses_span = self.window_cycles.max(1);
-        // Scale the window budget to the span being covered.
-        let total_pairs = (pairs.saturating_mul(span) / misses_span).max(1);
-        let slot = span / total_pairs;
-        let idle = slot.saturating_sub(2 * EST_ATTACK_ACCESS_CYCLES);
-        for _ in 0..total_pairs {
-            ops.extend_from_slice(&pair_iteration(pair));
-            if idle > 0 {
-                push_idle(ops, idle);
-            }
+    pub fn target_at(&self, window: u64, eligible: &[bool]) -> Option<usize> {
+        let k = eligible.iter().filter(|&&e| e).count() as u64;
+        if k == 0 {
+            return None;
         }
+        let pick = window % k;
+        eligible
+            .iter()
+            .enumerate()
+            .filter(|&(_, &e)| e)
+            .nth(usize::try_from(pick).expect("pick < k <= eligible.len()"))
+            .map(|(i, _)| i)
+    }
+
+    /// Aggressor-pair activations a full-rate burst lands in `cycles`
+    /// nobody counts: a downtime gap (the number the recovery protocol
+    /// must assume accumulated), or, at
+    /// [`EST_STAGE1_WINDOW_CYCLES`](crate::EST_STAGE1_WINDOW_CYCLES), one
+    /// PMU-blind window.
+    pub fn burst_activations(cycles: u64) -> u64 {
+        cycles / EST_ATTACK_ACCESS_CYCLES
     }
 }
 
@@ -111,88 +98,10 @@ impl Default for RestartAwareHammer {
     }
 }
 
-impl Attack for RestartAwareHammer {
-    fn name(&self) -> &'static str {
-        "restart-aware-hammer"
-    }
-
-    fn prepare(&mut self, env: &mut AttackEnv<'_>) -> Result<(), AttackError> {
-        let va = env.process.mmap(self.arena_bytes, env.frames)?;
-        let pairs = templated_pairs(env, va, self.arena_bytes, 64)?;
-        let pair = pairs[0];
-        let victim_pa = victim_paddr(env, &pair);
-
-        let mut ops = Vec::new();
-        let mut t = 0u64;
-        // One-time prefix: the scheduled gaps, each preceded by paced
-        // cover traffic up to the gap's start.
-        for &(start, len) in &self.gaps {
-            if start > t {
-                self.push_paced(&mut ops, &pair, start - t);
-            }
-            // Inside the gap: back-to-back hammering, no idle at all.
-            for _ in 0..Self::burst_activations(len) / 2 {
-                ops.extend_from_slice(&pair_iteration(&pair));
-            }
-            t = start + len;
-        }
-        // Steady state after the last gap: one paced window, looped.
-        let loop_start = ops.len();
-        self.push_paced(&mut ops, &pair, self.window_cycles);
-
-        self.prepared = Some(Prepared {
-            ops,
-            loop_start,
-            cursor: 0,
-            aggressors: vec![pair.below_pa, pair.above_pa],
-            victims: vec![victim_pa],
-        });
-        Ok(())
-    }
-
-    fn next_op(&mut self) -> AttackOp {
-        let p = self.prepared.as_mut().expect("prepare the attack first");
-        let op = p.ops[p.cursor];
-        p.cursor += 1;
-        if p.cursor >= p.ops.len() {
-            p.cursor = p.loop_start;
-        }
-        op
-    }
-
-    fn aggressor_paddrs(&self) -> Vec<u64> {
-        self.prepared
-            .as_ref()
-            .map_or(Vec::new(), |p| p.aggressors.clone())
-    }
-
-    fn victim_paddrs(&self) -> Vec<u64> {
-        self.prepared
-            .as_ref()
-            .map_or(Vec::new(), |p| p.victims.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anvil_mem::{
-        AllocationPolicy, FrameAllocator, MemoryConfig, MemorySystem, PagemapPolicy, Process,
-    };
-
-    fn prepared(attack: &mut RestartAwareHammer) {
-        let mut sys = MemorySystem::new(MemoryConfig::paper_platform());
-        let mut frames = FrameAllocator::new(sys.phys().capacity(), AllocationPolicy::Contiguous);
-        let mut process = Process::new(7, "adversary");
-        attack
-            .prepare(&mut AttackEnv {
-                sys: &mut sys,
-                process: &mut process,
-                frames: &mut frames,
-                pagemap: PagemapPolicy::Open,
-            })
-            .unwrap();
-    }
+    use crate::EST_STAGE1_WINDOW_CYCLES;
 
     #[test]
     fn burst_activations_matches_the_gap_rate() {
@@ -208,69 +117,42 @@ mod tests {
     }
 
     #[test]
-    fn gap_segment_hammers_without_idling() {
-        let gap_len = 1_000_000u64;
-        let mut attack =
-            RestartAwareHammer::new().with_gaps(vec![(EST_STAGE1_WINDOW_CYCLES, gap_len)]);
-        prepared(&mut attack);
-        // The burst is the longest idle-free run of accesses; the paced
-        // segments around it always interleave Compute ops. Walk enough
-        // ops to cover the whole prefix plus a loop iteration.
-        let mut saw_idle = false;
-        let mut burst_accesses = 0u64;
-        let mut run = 0u64;
-        for _ in 0..200_000 {
-            match attack.next_op() {
-                AttackOp::Access { .. } => run += 1,
-                AttackOp::Clflush { .. } => {}
-                AttackOp::Compute { .. } => {
-                    saw_idle = true;
-                    burst_accesses = burst_accesses.max(run);
-                    run = 0;
-                }
-            }
-        }
-        assert!(saw_idle, "paced cover traffic must idle between pairs");
-        // The post-gap paced segment opens with a pair before its first
-        // idle, so that pair's two accesses extend the measured run.
-        let want = RestartAwareHammer::burst_activations(gap_len) / 2 * 2;
-        assert!(
-            (want..=want + 4).contains(&burst_accesses),
-            "the gap burst must hammer back-to-back for the whole gap: \
-             got {burst_accesses}, want ~{want}"
-        );
+    fn blind_windows_burst_at_the_gap_rate() {
+        let h = RestartAwareHammer::new();
+        let blind = RestartAwareHammer::burst_activations(EST_STAGE1_WINDOW_CYCLES);
+        assert_eq!(blind, EST_STAGE1_WINDOW_CYCLES / EST_ATTACK_ACCESS_CYCLES);
+        assert!(blind > 4 * h.paced_activations());
     }
 
     #[test]
-    fn steady_state_paces_below_the_stage1_threshold() {
-        let mut attack = RestartAwareHammer::new();
-        prepared(&mut attack);
-        // No gaps: the tape is one paced window, looped. Count accesses
-        // and idle across one full loop.
-        let mut misses = 0u64;
-        let mut idle = 0u64;
-        let first = attack.next_op();
-        assert!(matches!(first, AttackOp::Access { .. }));
-        misses += 1;
-        loop {
-            match attack.next_op() {
-                AttackOp::Access { .. } => misses += 1,
-                AttackOp::Clflush { .. } => {}
-                AttackOp::Compute { cycles } => idle += cycles,
-            }
-            // The loop wraps when total time covers one window.
-            let elapsed = misses * EST_ATTACK_ACCESS_CYCLES + idle;
-            if elapsed >= EST_STAGE1_WINDOW_CYCLES {
-                break;
-            }
+    fn rotation_visits_every_eligible_domain_equally() {
+        let h = RestartAwareHammer::new();
+        let eligible = [true, true, true, true];
+        let mut hits = [0u64; 4];
+        for w in 0..4_000 {
+            hits[h.target_at(w, &eligible).unwrap()] += 1;
         }
-        assert!(misses < 20_000, "paced rate {misses} must stay under 20K");
-        assert!(misses >= 18_000, "paced rate {misses} suspiciously low");
+        assert_eq!(hits, [1_000; 4]);
     }
 
     #[test]
-    #[should_panic(expected = "prepare the attack first")]
-    fn next_op_before_prepare_panics() {
-        RestartAwareHammer::new().next_op();
+    fn rotation_skips_ineligible_domains() {
+        let h = RestartAwareHammer::new();
+        let eligible = [true, false, true, false];
+        for w in 0..100 {
+            let t = h.target_at(w, &eligible).unwrap();
+            assert!(t == 0 || t == 2, "targeted ineligible domain {t}");
+        }
+        assert!(h.target_at(0, &[false, false]).is_none());
+        assert!(h.target_at(0, &[]).is_none());
+    }
+
+    #[test]
+    fn targeting_is_a_pure_function_of_window_and_mask() {
+        let h = RestartAwareHammer::new();
+        let eligible = [true, false, true, true];
+        for w in 0..500 {
+            assert_eq!(h.target_at(w, &eligible), h.target_at(w, &eligible));
+        }
     }
 }

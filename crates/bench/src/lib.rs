@@ -4,8 +4,7 @@
 //!
 //! Experiment harness for the ANVIL (ASPLOS 2016) reproduction: one
 //! `anvil-bench` binary that runs every table, figure and robustness
-//! campaign of the evaluation by name, plus Criterion microbenchmarks of
-//! the simulator's components (`benches/micro.rs`).
+//! campaign of the evaluation by name.
 //!
 //! Run a campaign with, e.g.:
 //!

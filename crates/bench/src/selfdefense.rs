@@ -20,8 +20,10 @@
 //!
 //! # The attack
 //!
-//! The adversary is [`StateTargetingHammer`] driving a double-sided pair
-//! around the stalest state row. It paces at [`PACED_ACTIVATIONS`] per
+//! The adversary is [`RestartAwareHammer`] driving a double-sided pair
+//! around one state row at a time, rotating over the rows every eight
+//! windows (the modelled scrub ages every row alike, so no row is ever
+//! staler than the rest). It paces at [`PACED_ACTIVATIONS`] per
 //! window — low enough that even at the widest jitter draw the
 //! rate-normalized miss count stays under the stage-1 threshold, so the
 //! memoryless trip *never* fires and every detection must flow through
@@ -51,7 +53,7 @@
 //! to a cold restart from the last good checkpoint, with the declared
 //! downtime gap charged against the envelope's downtime budget.
 
-use anvil_adversary::StateTargetingHammer;
+use anvil_adversary::RestartAwareHammer;
 use anvil_core::{AnvilConfig, EnvelopeParams, GuaranteeEnvelope, StateSite};
 use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{hash64, FaultRng};
@@ -79,8 +81,8 @@ pub const STATE_FLIP_THRESHOLD: u64 = 9_000;
 /// cell, so the guarded detector's selective refreshes can protect it.
 pub const DATA_FLIP_THRESHOLD: u64 = 180_000;
 
-/// Windows the hammer dwells on one state row before the tie-break
-/// rotates it: long enough for the suspicion ledger to accumulate
+/// Windows the hammer dwells on one state row before it rotates to the
+/// next: long enough for the suspicion ledger to accumulate
 /// conviction support against the pair.
 const TARGET_DWELL: u64 = 8;
 
@@ -287,7 +289,10 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64, engine: Engin
         driver.supervisor().state_cell_count().min(4),
     );
     let rows = map.state_rows();
-    let hammer = StateTargetingHammer::new().with_paced_activations(PACED_ACTIVATIONS);
+    let hammer = RestartAwareHammer::new().with_paced_activations(PACED_ACTIVATIONS);
+    // Every state row is a target: the incremental scrub (guarded) or
+    // its absence (unguarded) ages all rows alike, so none is staler.
+    let all_rows = vec![true; rows.len()];
     // The double-sided pair around the base state row splashes
     // single-sided disturbance two rows out: the co-located data victim.
     let data_victim = RowId::new(STATE_BANK, STATE_BASE_ROW + 2);
@@ -302,27 +307,18 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64, engine: Engin
     // rewritten — a declared scrub/read repair (guarded), a restart
     // rebuild, or the unguarded detector's own blind store.
     let mut flipped_mask: u8 = 0;
-    let scrub_slices = runtime.scrub_slices.max(1);
 
     let (mut injected, mut correlated) = (0u64, 0u64);
     let (mut declared_repaired, mut declared_escalated) = (0u64, 0u64);
     let (mut undeclared_flips, mut exposure_flips) = (0u64, 0u64);
 
     for w in 0..windows {
-        // The hammer's view of scrub neglect: guarded, the incremental
-        // scrub re-verifies every row each rotation, so ages cycle below
-        // the lock threshold; unguarded, nothing ever scrubs and the
-        // ages only grow. Burst-rate lock-on is withheld while the
-        // detector is serviced — a burst would trip the memoryless raw
-        // threshold and hand the defense a detection — and spent inside
-        // recovery gaps instead.
-        let ages: Vec<u64> = if guarded {
-            vec![w % scrub_slices; rows.len()]
-        } else {
-            vec![w + 1; rows.len()]
-        };
+        // Burst-rate hammering is withheld while the detector is
+        // serviced — a burst would trip the memoryless raw threshold and
+        // hand the defense a detection — and spent inside recovery gaps
+        // instead.
         let t = hammer
-            .target_at(w / TARGET_DWELL, &ages)
+            .target_at(w / TARGET_DWELL, &all_rows)
             .expect("state rows exist");
         let paced = hammer.paced_activations();
         let sup = driver.supervisor_mut();
@@ -368,7 +364,7 @@ pub fn run_arm(seed: u64, windows: u64, guarded: bool, trial: u64, engine: Engin
             // gap; the recovery blanket refresh then clears the
             // accumulated disturbance, but the burst's state-row charge
             // carries into the next window's flip test.
-            let burst = StateTargetingHammer::gap_activations(gap);
+            let burst = RestartAwareHammer::burst_activations(gap);
             data_evidence += burst;
             if data_evidence >= DATA_FLIP_THRESHOLD {
                 exposure_flips += data_evidence / DATA_FLIP_THRESHOLD;

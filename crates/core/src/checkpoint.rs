@@ -232,9 +232,15 @@ mod tests {
 
     #[test]
     fn bytes_round_trip() {
-        let ckpt = sample_checkpoint();
-        let restored = DetectorCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        assert_eq!(restored, ckpt);
+        // The second checkpoint's carry and ledger score print as integral
+        // floats of 1e16 and more.
+        let mut huge = sample_checkpoint();
+        huge.carry = 1e20;
+        huge.ledger[0].score = f64::MAX;
+        for ckpt in [sample_checkpoint(), huge] {
+            let restored = DetectorCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+            assert_eq!(restored, ckpt);
+        }
     }
 
     #[test]

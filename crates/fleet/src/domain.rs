@@ -1,7 +1,7 @@
 //! One protection domain: a supervised detector, its weak-cell
 //! population, its degradation ladder, and its flip accounting.
 
-use anvil_adversary::CrossDomainHammer;
+use anvil_adversary::{RestartAwareHammer, EST_STAGE1_WINDOW_CYCLES};
 use anvil_core::{GuaranteeEnvelope, HashedConfig};
 use anvil_dram::{BankId, CpuClock, Cycle, RowId};
 use anvil_faults::{FaultRng, LifecycleInjector};
@@ -252,12 +252,7 @@ impl DomainRuntime {
     /// the window only once the episode is `engaged` (past the exposure
     /// windows) or the ladder is pinned (already refreshing every
     /// window).
-    pub(crate) fn blind_window(
-        &mut self,
-        targeted: bool,
-        engaged: bool,
-        hammer: &CrossDomainHammer,
-    ) {
+    pub(crate) fn blind_window(&mut self, targeted: bool, engaged: bool) {
         if self.level() == ProtectionLevel::Quarantine {
             self.ladder.fault_window();
             return;
@@ -265,7 +260,9 @@ impl DomainRuntime {
         if targeted {
             self.evidence = self
                 .evidence
-                .saturating_add(hammer.blind_window_activations());
+                .saturating_add(RestartAwareHammer::burst_activations(
+                    EST_STAGE1_WINDOW_CYCLES,
+                ));
         }
         self.check_flip(true);
         if engaged || self.ladder.is_pinned() {
@@ -282,7 +279,7 @@ impl DomainRuntime {
         &mut self,
         w: u64,
         targeted: bool,
-        hammer: &CrossDomainHammer,
+        hammer: &RestartAwareHammer,
         cfg: &FleetConfig,
         clock: CpuClock,
     ) {
@@ -340,7 +337,7 @@ impl DomainRuntime {
             // before the recovery blanket refresh lands.
             self.evidence = self
                 .evidence
-                .saturating_add(CrossDomainHammer::gap_activations(gap));
+                .saturating_add(RestartAwareHammer::burst_activations(gap));
             self.check_flip(self.level() != ProtectionLevel::Hardened);
             self.evidence = 0;
         } else if out.rewrites(self.victim) {

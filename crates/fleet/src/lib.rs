@@ -22,9 +22,11 @@
 //!   (`anvil-faults`' [`CorrelatedFaults`]) hit the node: machine
 //!   outages, machine-wide PMU loss, shared-refresh-controller delays,
 //!   and torn checkpoint writes.
-//! * A cross-domain attacker (`anvil-adversary`'s `CrossDomainHammer`)
-//!   that rotates paced pressure over live domains and locks onto one
-//!   target at full hammer rate during PMU-blind episodes.
+//! * A cross-domain attacker (`anvil-adversary`'s `RestartAwareHammer`,
+//!   after the inter-VM setting of Kawasaki & Akiyama) that rotates
+//!   paced pressure over live domains, bursts into every recovery gap,
+//!   and locks onto one target at full hammer rate during PMU-blind
+//!   episodes.
 //! * [`FleetRisk`] — the Monte Carlo fold: expected flips per
 //!   (accelerated) machine-year, exploit-window exposure during
 //!   degradation, the distribution of worst-case recovery gaps, and the

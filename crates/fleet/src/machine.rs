@@ -1,7 +1,7 @@
 //! One simulated machine: a topology of supervised domains under
 //! correlated faults, with a cross-domain attacker rotating over them.
 
-use anvil_adversary::CrossDomainHammer;
+use anvil_adversary::RestartAwareHammer;
 use anvil_core::{AnvilConfig, EnvelopeParams};
 use anvil_dram::CpuClock;
 use anvil_faults::{CorrelatedFaults, CorrelatedInjector, FaultRng, LifecycleFaults};
@@ -137,7 +137,7 @@ pub fn run_machine_with_engine(cfg: &FleetConfig, machine: u64, engine: Engine) 
         &FaultRng::new(cfg.seed).fork(MACHINE_SITE_BASE + machine),
         channels,
     );
-    let hammer = CrossDomainHammer::new();
+    let hammer = RestartAwareHammer::new();
 
     let mut domains: Vec<DomainRuntime> = cfg
         .topology
@@ -227,7 +227,7 @@ pub fn run_machine_with_engine(cfg: &FleetConfig, machine: u64, engine: Engine) 
             let engaged = blind_elapsed >= cfg.exposure_windows;
             for (i, d) in domains.iter_mut().enumerate() {
                 d.observe_window();
-                d.blind_window(blind_target == Some(i), engaged, &hammer);
+                d.blind_window(blind_target == Some(i), engaged);
             }
             blind_elapsed += 1;
             if blind_remaining == 0 {
